@@ -108,7 +108,17 @@ class RunConfig:
                 if key not in known:
                     raise ValueError(f"unknown RunConfig key {key!r} in config file")
                 setattr(cfg, key, value)
+        for f in fields(cls):
+            if f.type == "float":
+                _finite(getattr(cfg, f.name), f.name)
         return cfg
+
+
+def _finite(value, name: str) -> float:
+    """`value` as a float; NaN, infinities and non-numbers are rejected."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _parse_degree_range(text: str) -> list[int]:
@@ -130,10 +140,11 @@ def _family_spec(cfg: RunConfig) -> FamilySpec:
         raise ValueError("a family kind, spec file, or sequence file is required")
     cov = None
     if cfg.cov:
-        cov = tuple(tuple(float(x) for x in row) for row in json.loads(cfg.cov))
+        cov = tuple(tuple(_finite(float(x), "cov") for x in row)
+                    for row in json.loads(cfg.cov))
     weights = None
     if cfg.weights:
-        weights = tuple(float(w) for w in cfg.weights.split(","))
+        weights = tuple(_finite(float(w), "weights") for w in cfg.weights.split(","))
     return FamilySpec(kind=cfg.kind, dim=cfg.dim, max_degree=cfg.max_degree,
                       cov=cov, k=cfg.laguerre_k, weights=weights)
 

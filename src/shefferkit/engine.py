@@ -5,19 +5,26 @@ monomial bases with
 
     <S_n(w), phi_n> = sum_{k<=n} <w^{(x)k}, V[k, n] phi_n>,
 
-extracted from the bivariate expansion of the generating function
+read off the generating function
 
     G(w, xi) = exp[<w, A(xi)>] / rho(A(xi))
              = sum_n (1/n!) <S_n(w), xi^{(x)n}>.
 
-Working in 2d variables (w block first, xi block second), the coefficient
-of w^beta xi^gamma gives V[k, n][beta, gamma] = gamma! G_{beta,gamma} with
-k = |beta|, n = |gamma|.  The xi-degree is capped at the truncation order
-after every ring operation; the w-degree never exceeds it because every w
-factor of the exponential brings at least one xi factor.
+The w variables never enter a series: <w, A>^k / k! expands as
+sum_{|beta|=k} w^beta A^beta / beta!, so the coefficient of w^beta xi^gamma
+in G is [xi^gamma](theta * A^beta) / beta! with theta = 1/rho(A), and
+
+    V[k, n][beta, gamma] = (gamma!/beta!) [xi^gamma](theta * A^beta)
+
+for k = |beta|, n = |gamma|.  The products theta * A^beta are built in d
+variables, one series product per monomial beta of degree <= N.  In d = 1
+this is the column construction of an exponential Riordan array.
 
 Monicity (V[n, n] = identity) and lower triangularity follow from the unit
-linear part of A and rho(0) = 1, and are asserted after every build.
+linear part of A and rho(0) = 1, and are asserted after every build.  In
+float mode the top blocks are exactly the identity too: their coefficients
+are exact products of ones, and their weight gamma!/beta! divides a float
+by itself.
 
 The inverse transform is the graded transform of the same shape built from
 the compositional inverse B of A and the reciprocal coefficient series: it
@@ -31,13 +38,15 @@ so its blocks come from exp[<w, B(xi)>] * kappa(B(xi)).
 from __future__ import annotations
 
 import base64
+import cmath
+import functools
 import hashlib
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -159,82 +168,83 @@ def evaluate(p: PolynomialOnDual, omega) -> complex:
     return p.evaluate(omega)
 
 
-# -- bivariate extraction --------------------------------------------------
+# -- block construction -----------------------------------------------------
 
 
-def _lift_xi(series: ScalarSeries, total_degree: int) -> ScalarSeries:
-    """Embed a xi-only series into the 2d bivariate variables."""
-    d = series.dim
-    zeros = (0,) * d
-    terms = {zeros + mi.exponents: c for mi, c in series.terms.items()}
-    return ScalarSeries.from_terms(2 * d, total_degree, terms)
+def _float_or_inf(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
-def _cap_xi(series: ScalarSeries, dim: int, order: int) -> ScalarSeries:
-    kept = {mi: c for mi, c in series.terms.items()
-            if sum(mi.exponents[dim:]) <= order}
-    return ScalarSeries.from_terms(series.dim, series.max_degree, kept)
+def _rescaled(c: complex, num: int, den: int) -> complex:
+    """c * num/den with each part rounded once; used where the float weights
+    leave the double range.  NaN when the entry itself does."""
+    w = Fraction(num, den)
+    try:
+        return complex(float(w * Fraction(c.real)), float(w * Fraction(c.imag)))
+    except (OverflowError, ValueError):  # the entry overflows, or c is not finite
+        return complex(math.nan, math.nan)
 
 
-def _pairing_form(a: VectorSeries, order: int) -> ScalarSeries:
-    """<w, A(xi)> as a bivariate series (w block first, xi block second)."""
-    d = a.dim_in
-    terms: dict[tuple[int, ...], object] = {}
-    for i, comp in enumerate(a.components):
-        for mi, c in comp.terms.items():
-            if mi.degree > order:
-                continue
-            w_part = tuple(1 if j == i else 0 for j in range(d))
-            terms[w_part + mi.exponents] = c
-    return ScalarSeries.from_terms(2 * d, 2 * order, terms)
-
-
-def _transfer_blocks(vec: VectorSeries, xi_factor: ScalarSeries | None,
+def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
                      order: int, exact: bool) -> dict[tuple[int, int], np.ndarray]:
     """Blocks of the graded transform with generating function
-    exp[<w, vec(xi)>] * xi_factor(xi).
+    exp[<w, vec(xi)>] * factor(xi).
 
-    The pairing form carries exactly one w per factor, so the w-degree-k
-    part of the generating function is <w, vec>^k / k! times the factor.
-    Each power is kept undivided and the 1/k! enters only in the extraction
-    weight gamma!/k!; on the top diagonal (beta = gamma, k = n) numerator
-    and denominator are then the identical float, which keeps the monic
-    blocks exactly equal to the identity in float mode as well.
+    Expanding <w, vec>^k / k! = sum_{|beta|=k} w^beta vec^beta / beta! gives
+
+        V[k, n][beta, gamma] = (gamma!/beta!) [xi^gamma](factor * vec^beta),
+
+    so only d-variable series are built: one product per monomial beta of
+    degree <= order, factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i
+    with i the first nonzero index of beta.
+
+    In float mode an entry is (gamma! * c) / beta! with both factorials as
+    floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
+    exactly 1, being a product of the unit linear terms of vec and of
+    factor(0) = 1, so the entry divides the identical float by itself: the
+    monic blocks stay exactly the identity in float mode as well.  Where a
+    factorial or the product leaves the double range the weight is applied
+    exactly and rounded once; an entry that is itself out of range raises a
+    ValueError naming the lowest degree at which that happens.
     """
     d = vec.dim_in
-    pairing = _pairing_form(vec, order)
-    if xi_factor is not None:
-        cur = _cap_xi(_lift_xi(xi_factor, 2 * order), d, order)
-    else:
-        cur = ScalarSeries.one(2 * d, 2 * order, exact=exact)
-    tables: list[dict[tuple[tuple[int, ...], tuple[int, ...]], object]] = []
-    for k in range(order + 1):
-        if k > 0:
-            cur = _cap_xi(ps_mul(cur, pairing), d, order)
-        tables.append({(mi.exponents[:d], mi.exponents[d:]): c
-                       for mi, c in cur.terms.items()})
+    bases = [monomial_basis(d, n) for n in range(order + 1)]
+    column = {gamma: j for basis in bases for j, gamma in enumerate(basis)}
+    fact = {gamma: multi_factorial(gamma) for basis in bases for gamma in basis}
+    ffact = {gamma: _float_or_inf(f) for gamma, f in fact.items()}
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for n in range(order + 1):
-        basis_n = monomial_basis(d, n)
         for k in range(n + 1):
-            basis_k = monomial_basis(d, k)
-            kfact = math.factorial(k)
-            table = tables[k]
-            mat = np.zeros((len(basis_k), len(basis_n)),
-                           dtype=object if exact else complex)
+            mat = np.zeros((len(bases[k]), len(bases[n])), dtype=object if exact else complex)
             if exact:
                 mat[...] = Fraction(0)
-            for jn, gamma in enumerate(basis_n):
-                gfact = multi_factorial(gamma)
-                for jk, beta in enumerate(basis_k):
-                    c = table.get((beta, gamma))
-                    if c is None or c == 0:
-                        continue
-                    if exact:
-                        mat[jk, jn] = Fraction(gfact, kfact) * c
-                    else:
-                        mat[jk, jn] = (float(gfact) * complex(c)) / float(kfact)
             blocks[(k, n)] = mat
+    level = {bases[0][0]: factor}
+    for k in range(order + 1):
+        if k > 0:
+            prev, level = level, {}
+            for beta in bases[k]:
+                i = next(j for j, e in enumerate(beta) if e)
+                lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                level[beta] = ps_mul(prev[lower], vec.components[i])
+        for row, beta in enumerate(bases[k]):
+            for mi, c in level[beta].terms.items():
+                gamma = mi.exponents
+                if exact:
+                    value = Fraction(fact[gamma], fact[beta]) * c
+                else:
+                    value = (ffact[gamma] * complex(c)) / ffact[beta]
+                    if not cmath.isfinite(value):
+                        value = _rescaled(complex(c), fact[gamma], fact[beta])
+                blocks[(k, mi.degree)][row, column[gamma]] = value
+    if not exact:
+        for (k, n), mat in blocks.items():  # by degree n, lowest first
+            if not np.isfinite(mat).all():
+                raise ValueError(f"float block V[{k},{n}] leaves the double range; "
+                                 f"lower max_degree below {n}")
     return blocks
 
 
@@ -254,7 +264,6 @@ class ShefferSequence:
     def __init__(self, dim: int, max_degree: int,
                  blocks: dict[tuple[int, int], np.ndarray],
                  a: VectorSeries, rho: ScalarSeries | None,
-                 theta: Sequence[SymCoeff], kappa: Sequence[SymCoeff],
                  theta_series: ScalarSeries, kappa_series: ScalarSeries,
                  exact: bool) -> None:
         self.dim = dim
@@ -262,13 +271,21 @@ class ShefferSequence:
         self.blocks = blocks
         self.a = a
         self.rho = rho
-        self.theta = tuple(theta)
-        self.kappa = tuple(kappa)
         self.theta_series = theta_series
         self.kappa_series = kappa_series
         self.exact = exact
         self._inverse_blocks: dict[tuple[int, int], np.ndarray] | None = None
         self._b: VectorSeries | None = None
+
+    @functools.cached_property
+    def theta(self) -> tuple[SymCoeff, ...]:
+        """Degree parts of 1/rho(A(xi)) as symmetric tensors."""
+        return _degree_tensors(self.theta_series, self.max_degree)
+
+    @functools.cached_property
+    def kappa(self) -> tuple[SymCoeff, ...]:
+        """Degree parts of rho(A(xi)) as symmetric tensors."""
+        return _degree_tensors(self.kappa_series, self.max_degree)
 
     @property
     def is_basic(self) -> bool:
@@ -292,11 +309,8 @@ class ShefferSequence:
     def inverse_blocks(self) -> dict[tuple[int, int], np.ndarray]:
         if self._inverse_blocks is None:
             b = self.inverse_a
-            factor = None
-            if self.rho is not None:
-                factor = ps_compose(self.kappa_series, b)
             self._inverse_blocks = _transfer_blocks(
-                b, factor, self.max_degree, self.exact)
+                b, ps_compose(self.kappa_series, b), self.max_degree, self.exact)
         return self._inverse_blocks
 
     def apply(self, p: PolynomialOnDual) -> PolynomialOnDual:
@@ -376,11 +390,21 @@ def _graded_apply(seq: ShefferSequence, blocks: dict, p: PolynomialOnDual) -> Po
         [SymCoeff.from_vector(seq.dim, k, v) for k, v in enumerate(out_vecs)]).trimmed()
 
 
-def _divisor_series(a: VectorSeries, rho: ScalarSeries, order: int
+def _divisor_series(a: VectorSeries, rho: ScalarSeries | None, order: int
                     ) -> tuple[ScalarSeries, ScalarSeries]:
-    """(1/rho(A(xi)), rho(A(xi))) as truncated series."""
+    """(1/rho(A(xi)), rho(A(xi))) as truncated series; both are 1 without rho."""
+    if rho is None:
+        one = ScalarSeries.one(a.dim_in, order, exact=a.exact)
+        return one, one
+    if rho.constant_term != 1:
+        raise ValueError("rho must have constant term 1")
     composed = ps_compose(rho.truncate(min(rho.max_degree, order)), a.truncate(order))
     return ps_recip(composed), composed
+
+
+def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
+    return tuple(SymCoeff.from_coeffs(series.dim, k, series.degree_part(k))
+                 for k in range(order + 1))
 
 
 def theta_kappa(a: VectorSeries, rho: ScalarSeries | None, order: int
@@ -390,17 +414,8 @@ def theta_kappa(a: VectorSeries, rho: ScalarSeries | None, order: int
     theta holds the expansion of 1/rho(A(xi)), kappa that of rho(A(xi)),
     degree by degree; with rho = 1 both collapse to the constant 1.
     """
-    d = a.dim_in
-    if rho is None:
-        one = SymCoeff.scalar(d, 1 if a.exact else 1.0 + 0.0j)
-        zeros_t = [one] + [SymCoeff.zero(d, k) for k in range(1, order + 1)]
-        return list(zeros_t), list(zeros_t)
-    if rho.constant_term != 1:
-        raise ValueError("rho must have constant term 1")
-    recip, composed = _divisor_series(a, rho, order)
-    thetas = [SymCoeff.from_coeffs(d, k, recip.degree_part(k)) for k in range(order + 1)]
-    kappas = [SymCoeff.from_coeffs(d, k, composed.degree_part(k)) for k in range(order + 1)]
-    return thetas, kappas
+    theta, kappa = _divisor_series(a, rho, order)
+    return list(_degree_tensors(theta, order)), list(_degree_tensors(kappa, order))
 
 
 def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> ShefferSequence:
@@ -418,16 +433,9 @@ def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> Shef
         raise ValueError("rho must have constant term 1")
     if rho is not None and all(mi.degree == 0 for mi in rho.terms):
         rho = None  # a constant divisor is the binomial-type case
-    thetas, kappas = theta_kappa(a_trunc, rho, order)
-    if rho is None:
-        theta_series = ScalarSeries.one(d, order, exact=exact)
-        kappa_series = ScalarSeries.one(d, order, exact=exact)
-        factor = None
-    else:
-        theta_series, kappa_series = _divisor_series(a_trunc, rho, order)
-        factor = theta_series
-    blocks = _transfer_blocks(a_trunc, factor, order, exact)
-    seq = ShefferSequence(d, order, blocks, a_trunc, rho, thetas, kappas,
+    theta_series, kappa_series = _divisor_series(a_trunc, rho, order)
+    blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
+    seq = ShefferSequence(d, order, blocks, a_trunc, rho,
                           theta_series, kappa_series, exact)
     _assert_monic(seq)
     return seq
@@ -603,10 +611,18 @@ def _block_bytes(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(mat.astype(complex)).astype("<c16").tobytes()
 
 
+# Sequence files carry this tag from the monomial-power block builder on.
+# Untagged files come from the earlier 2d-variable builder: their d = 1
+# blocks are bit-identical to a fresh build, their d >= 2 blocks may differ
+# in the last bits.
+SEQUENCE_FORMAT = 2
+
+
 def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> dict:
     """Sequence file document.  Blocks are row-major little-endian complex128
     over the canonical graded bases; each carries a sha256 of its bytes."""
     doc = {
+        "format_version": SEQUENCE_FORMAT,
         "dim": seq.dim,
         "max_degree": seq.max_degree,
         "a": seq.a.to_json_dict(),
@@ -629,6 +645,9 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
 def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     """Rebuild from (A, rho); stored blocks, when present, are verified
     against the recomputation through their checksums."""
+    version = doc.get("format_version")
+    if version not in (None, SEQUENCE_FORMAT):
+        raise ValueError(f"unsupported sequence format_version {version!r}")
     a = VectorSeries.from_json_dict(doc["a"])
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
     seq = build_sheffer(a, rho, int(doc["max_degree"]))
@@ -640,8 +659,13 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
             if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
                 raise ValueError(f"corrupt block {key}: stored checksum mismatch")
             recomputed = _block_bytes(seq.blocks[(k, n)])
-            if hashlib.sha256(recomputed).hexdigest() != entry["sha256"]:
-                raise ValueError(f"block {key} disagrees with recomputation")
+            if hashlib.sha256(recomputed).hexdigest() == entry["sha256"]:
+                continue
+            if version is None and seq.dim >= 2:
+                raise ValueError(
+                    f"block {key} of this untagged sequence file was written by an "
+                    f"earlier block builder; regenerate the file with `shefferkit family`")
+            raise ValueError(f"block {key} disagrees with recomputation")
     return seq
 
 

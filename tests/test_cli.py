@@ -226,6 +226,29 @@ class TestExitCodes:
                     "--max-degree", 6, "--l", 0, "--l-prime", 1,
                     "--out", tmp_path / "b.json"]) == 5
 
+    def test_float_overflow_is_spec_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["family", "--kind", "falling", "--dim", 1,
+                    "--max-degree", 200, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "lower max_degree below 171" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_options_rejected(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 6,
+             "--out", seq_file])
+        capsys.readouterr()
+        out = tmp_path / "sweep.json"
+        assert run(["diverge", "--sequence", seq_file, "--alpha", "nan",
+                    "--out", out]) == 2
+        assert "alpha must be a finite number" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"laguerre_k": float("inf")}), encoding="utf-8")
+        assert run(["family", "--kind", "laguerre", "--config", cfg,
+                    "--out", out]) == 2
+        assert not out.exists()
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["family", "--format", "xml", "--out", "x.json"])

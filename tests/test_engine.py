@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -40,6 +42,7 @@ from oracles import (
     falling_coeffs,
     hermite_coeffs,
     laguerre_coeffs,
+    random_series,
     random_unit_linear,
     rising_coeffs,
 )
@@ -131,6 +134,41 @@ class TestBuild:
         for n in range(6):
             mat = seq.block(n, n)
             assert np.array_equal(mat, np.eye(mat.shape[0], dtype=complex))
+
+    def test_float_blocks_finite_up_to_the_double_range(self):
+        # gamma! leaves the double range at n = 171; falling blocks stay
+        # finite through n = 170 and first overflow at V[4, 171]
+        seq = falling_seq(170, exact=False)
+        assert all(np.isfinite(mat).all() for mat in seq.blocks.values())
+        for (k, n), want in {(1, 170): -math.factorial(169),
+                             (169, 170): -math.comb(170, 2)}.items():
+            assert abs(seq.block(k, n)[0, 0] - want) <= 1e-14 * abs(want)
+        with pytest.raises(ValueError, match=r"V\[4,171\].*below 171"):
+            falling_seq(200, exact=False)
+
+    def test_exact_dense_d3_inverse_blocks_invert(self, rng):
+        d, order = 3, 5
+
+        def rational(deg):
+            return F(int(rng.integers(-4, 5)), 2 ** deg)
+
+        comps = []
+        for i in range(d):
+            terms = {b: rational(deg) for deg in range(2, order + 1)
+                     for b in monomial_basis(d, deg)}
+            terms[tuple(int(j == i) for j in range(d))] = F(1)
+            comps.append(ScalarSeries.from_terms(d, order, terms))
+        rho = ScalarSeries.from_terms(d, order, {b: rational(deg) for deg in range(order + 1)
+                                                 for b in monomial_basis(d, deg)})
+        rho = rho - ScalarSeries.constant(d, order, rho.constant_term - 1)
+        seq = build_sheffer(VectorSeries.from_components(comps), rho, order)
+        assert seq.exact
+        inv = seq.inverse_blocks
+        for k in range(order + 1):
+            for n in range(k, order + 1):
+                prod = sum(inv[(k, m)].dot(seq.blocks[(m, n)]) for m in range(k, n + 1))
+                want = np.eye(len(monomial_basis(d, k)), dtype=int) if k == n else 0
+                assert np.all(prod == want)
 
 
 class TestThetaKappa:
@@ -358,16 +396,24 @@ class TestPathEquivalence:
 
 
 class TestGeneratingFunction:
-    def test_reproduction_at_random_points(self, rng):
-        a, rho = make_family(FamilySpec("laguerre", 1, 8, k=2.0))
-        seq = build_sheffer(a, rho, 8)
+    # xi shrinks with the truncation order: the truncated generating function
+    # is off by O(|xi|^(order+1)), which must stay below the 1e-8 tolerance
+    @pytest.mark.parametrize("dim, order, radius", [(1, 8, 0.05), (3, 6, 0.02), (4, 5, 0.02)],
+                             ids=["laguerre-d1", "dense-d3", "dense-d4"])
+    def test_reproduction_at_random_points(self, rng, dim, order, radius):
+        if dim == 1:
+            a, rho = make_family(FamilySpec("laguerre", 1, order, k=2.0))
+        else:
+            a = random_unit_linear(dim, order, rng)
+            rho = random_series(dim, order, rng, constant=1.0 + 0.0j)
+        seq = build_sheffer(a, rho, order)
         for _ in range(20):
-            w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
-            xi = [0.05 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+            w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)]
+            xi = [radius * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)]
             lhs = sum((1.0 / math.factorial(n)) * seq.polynomial_tensor(n, w).evaluate(xi)
-                      for n in range(9))
+                      for n in range(order + 1))
             axi = seq.a.evaluate(xi)
-            rhs = np.exp(w[0] * axi[0]) / seq.rho.evaluate(axi)
+            rhs = np.exp(np.dot(w, axi)) / seq.rho.evaluate(axi)
             assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
@@ -413,6 +459,28 @@ class TestSequenceFiles:
         other = build_sheffer(*make_family(FamilySpec("rising", 1, 4)), 4)
         doc["a"] = other.a.to_json_dict()
         with pytest.raises(ValueError):
+            sequence_from_json_dict(doc)
+
+    def test_untagged_files(self):
+        # files without the format tag come from the 2d-variable builder:
+        # d = 1 blocks kept their bits, d >= 2 blocks may differ in the last
+        # bit and then ask for regeneration
+        doc = sequence_to_json_dict(build_sheffer(*make_family(FamilySpec("falling", 1, 6)), 6))
+        del doc["format_version"]
+        assert sequence_from_json_dict(doc).max_degree == 6
+        doc = sequence_to_json_dict(build_sheffer(*make_family(FamilySpec("charlier", 2, 4)), 4))
+        entry = doc["blocks"]["1,3"]
+        raw = bytearray(base64.b64decode(entry["data"]))
+        raw[0] ^= 1  # lowest mantissa bit of the first entry
+        entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+        with pytest.raises(ValueError, match="disagrees with recomputation"):
+            sequence_from_json_dict(doc)
+        del doc["format_version"]
+        with pytest.raises(ValueError, match="regenerate the file with `shefferkit family`"):
+            sequence_from_json_dict(doc)
+        doc["format_version"] = 99
+        with pytest.raises(ValueError, match="unsupported sequence format_version 99"):
             sequence_from_json_dict(doc)
 
     def test_polynomial_json_roundtrip(self, rng):
