@@ -35,7 +35,6 @@ from .norms import (
     sup_norm_estimate,
 )
 from .series import (
-    MultiIndex,
     ScalarSeries,
     VectorSeries,
     monomial_basis,

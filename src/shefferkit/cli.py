@@ -25,6 +25,7 @@ from .engine import (
     DegreeOverflowError,
     PolynomialOnDual,
     ShefferSequence,
+    _symmetrize,
     binomial_check,
     build_sheffer,
     load_sequence,
@@ -104,14 +105,32 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
+            if not isinstance(overrides, dict):
+                raise ValueError("the config file must hold a JSON object")
             for key, value in overrides.items():
                 if key not in known:
                     raise ValueError(f"unknown RunConfig key {key!r} in config file")
                 setattr(cfg, key, value)
         for f in fields(cls):
-            if f.type == "float":
-                _finite(getattr(cfg, f.name), f.name)
+            _check_type(getattr(cfg, f.name), f.name, f.type)
+        if cfg.format not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {cfg.format!r}")
         return cfg
+
+
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_type(value, name: str, annotation: str) -> None:
+    """`value` must have the type of its RunConfig field (annotation
+    "int", "str | None", ...); a bool is no number."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return
+    if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"{name} must be of type {kind}, got {value!r}")
+    if kind == "float":
+        _finite(value, name)
 
 
 def _finite(value, name: str) -> float:
@@ -228,8 +247,8 @@ def _load_polynomial(path: str) -> PolynomialOnDual:
 def _poly_rows(p: PolynomialOnDual) -> list[dict]:
     rows = []
     for n, c in enumerate(p.coeffs):
-        for mi, v in c.coeffs.items():
-            rows.append({"degree": n, "exp": " ".join(str(e) for e in mi.exponents),
+        for exps, v in c.coeffs.items():
+            rows.append({"degree": n, "exp": " ".join(str(e) for e in exps),
                          "re": repr(float(complex(v).real)),
                          "im": repr(float(complex(v).imag))})
     return rows
@@ -403,7 +422,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
         comps = []
         for i in range(2):
             s = rand_series(2, 6, 0.4)
-            terms = {mi: c for mi, c in s.terms.items() if 2 <= mi.degree}
+            terms = {exps: c for exps, c in s.terms.items() if 2 <= sum(exps)}
             e = [0, 0]
             e[i] = 1
             terms[tuple(e)] = 1.0 + 0.0j
@@ -426,7 +445,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
         f = _random_symcoeff(d, k + m, rng)
         g = _random_symcoeff(d, m, rng)
         worst = max(worst, abs(sym_norm(f) - np.linalg.norm(to_dense(f).ravel())))
-        dense_prod = _dense_sym_product(to_dense(t), to_dense(g))
+        dense_prod = _symmetrize(np.multiply.outer(to_dense(t), to_dense(g)))
         worst = max(worst, _dense_diff(to_dense(sym_product(t, g)), dense_prod))
         dense_ctr = np.tensordot(to_dense(t), to_dense(f), axes=k)
         worst = max(worst, _dense_diff(to_dense(sym_contract(t, f)), dense_ctr))
@@ -524,17 +543,6 @@ def _random_symcoeff(dim: int, degree: int, rng: np.random.Generator) -> SymCoef
     basis = monomial_basis(dim, degree)
     vals = rng.uniform(-1, 1, len(basis)) + 1j * rng.uniform(-1, 1, len(basis))
     return SymCoeff.from_coeffs(dim, degree, dict(zip(basis, vals)))
-
-
-def _dense_sym_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import itertools
-    prod = np.multiply.outer(a, b)
-    n = prod.ndim
-    acc = np.zeros_like(prod)
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        acc += np.transpose(prod, perm)
-    return acc / len(perms)
 
 
 def _dense_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -38,7 +38,6 @@ so its blocks come from exp[<w, B(xi)>] * kappa(B(xi)).
 from __future__ import annotations
 
 import base64
-import cmath
 import functools
 import hashlib
 import itertools
@@ -51,10 +50,15 @@ from typing import Iterable
 import numpy as np
 
 from .series import (
-    MultiIndex,
     ScalarSeries,
     VectorSeries,
+    _normalized,
+    graded_exponents,
+    graded_size,
+    json_field,
+    json_object,
     monomial_basis,
+    monomial_values,
     multi_factorial,
     ps_compose,
     ps_mul,
@@ -109,9 +113,9 @@ class PolynomialOnDual:
 
     @classmethod
     def monomial(cls, dim: int, exponents, value=1.0 + 0.0j) -> "PolynomialOnDual":
-        mi = MultiIndex(exponents)
-        cs = [SymCoeff.zero(dim, k) for k in range(mi.degree)]
-        cs.append(SymCoeff.from_coeffs(dim, mi.degree, {mi: value}))
+        exps = tuple(exponents)
+        cs = [SymCoeff.zero(dim, k) for k in range(sum(exps))]
+        cs.append(SymCoeff.from_coeffs(dim, sum(exps), {exps: value}))
         return cls.from_coeffs(dim, cs)
 
     @property
@@ -156,15 +160,17 @@ class PolynomialOnDual:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PolynomialOnDual":
-        return cls.from_coeffs(
-            int(doc["dim"]),
-            [SymCoeff.from_json_dict(c) for c in doc["coefficients"]])
+        doc = json_object(doc, "polynomial")
+        coeffs = json_field(doc, "coefficients", list)
+        for n, c in enumerate(coeffs):  # before a slot's vector is allocated
+            if json_field(json_object(c, "tensor"), "degree", int) != n:
+                raise ValueError(f"slot {n} holds a degree-{c['degree']} coefficient")
+        return cls.from_coeffs(json_field(doc, "dim", int),
+                               [SymCoeff.from_json_dict(c) for c in coeffs])
 
 
 def evaluate(p: PolynomialOnDual, omega) -> complex:
     """Numeric value sum_n sum_beta c_beta w^beta."""
-    if len(tuple(omega)) != p.dim:
-        raise ValueError("dimension mismatch")
     return p.evaluate(omega)
 
 
@@ -199,7 +205,8 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
 
     so only d-variable series are built: one product per monomial beta of
     degree <= order, factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i
-    with i the first nonzero index of beta.
+    with i the first nonzero index of beta.  Row beta of the blocks V[k, n]
+    is the degree-n slice of that series' vector, weighted.
 
     In float mode an entry is (gamma! * c) / beta! with both factorials as
     floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
@@ -211,47 +218,41 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
     ValueError naming the lowest degree at which that happens.
     """
     d = vec.dim_in
-    bases = [monomial_basis(d, n) for n in range(order + 1)]
-    column = {gamma: j for basis in bases for j, gamma in enumerate(basis)}
-    fact = {gamma: multi_factorial(gamma) for basis in bases for gamma in basis}
-    ffact = {gamma: _float_or_inf(f) for gamma, f in fact.items()}
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(order + 1):
-        for k in range(n + 1):
-            mat = np.zeros((len(bases[k]), len(bases[n])), dtype=object if exact else complex)
-            if exact:
-                mat[...] = Fraction(0)
-            blocks[(k, n)] = mat
-    level = {bases[0][0]: factor}
+    offsets = [graded_size(d, n - 1) for n in range(order + 2)]
+    fact = [multi_factorial(gamma) for gamma in graded_exponents(d, order).tolist()]
+    ffact = np.array([_float_or_inf(f) for f in fact])
+    rows_by_degree = []
+    level = {(0,) * d: factor}
     for k in range(order + 1):
         if k > 0:
             prev, level = level, {}
-            for beta in bases[k]:
+            for beta in monomial_basis(d, k):
                 i = next(j for j, e in enumerate(beta) if e)
                 lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
                 level[beta] = ps_mul(prev[lower], vec.components[i])
-        for row, beta in enumerate(bases[k]):
-            for mi, c in level[beta].terms.items():
-                gamma = mi.exponents
-                if exact:
-                    value = Fraction(fact[gamma], fact[beta]) * c
-                else:
-                    value = (ffact[gamma] * complex(c)) / ffact[beta]
-                    if not cmath.isfinite(value):
-                        value = _rescaled(complex(c), fact[gamma], fact[beta])
-                blocks[(k, mi.degree)][row, column[gamma]] = value
+        raw = np.stack([s.vec for s in level.values()])
+        lo = offsets[k]
+        if exact:
+            rows = np.full(raw.shape, Fraction(0), dtype=object)
+            for r, col in zip(*np.nonzero(raw)):
+                rows[r, col] = Fraction(fact[col], fact[lo + r]) * raw[r, col]
+        else:
+            fbeta = ffact[lo:offsets[k + 1], None]
+            rows = np.empty(raw.shape, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows.real = ffact * raw.real / fbeta
+                rows.imag = ffact * raw.imag / fbeta
+            for r, col in zip(*np.nonzero(~np.isfinite(rows))):
+                rows[r, col] = _rescaled(complex(raw[r, col]), fact[col], fact[lo + r])
+        rows_by_degree.append(rows)
+    blocks = {(k, n): np.ascontiguousarray(rows_by_degree[k][:, offsets[n]:offsets[n + 1]])
+              for n in range(order + 1) for k in range(n + 1)}
     if not exact:
         for (k, n), mat in blocks.items():  # by degree n, lowest first
             if not np.isfinite(mat).all():
                 raise ValueError(f"float block V[{k},{n}] leaves the double range; "
                                  f"lower max_degree below {n}")
     return blocks
-
-
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    if mat.size == 0 or vec.size == 0:
-        return np.zeros(mat.shape[0], dtype=mat.dtype)
-    return mat @ vec
 
 
 class ShefferSequence:
@@ -293,8 +294,8 @@ class ShefferSequence:
 
     @property
     def is_appell(self) -> bool:
-        return self.a.unit_linear and all(
-            mi.degree <= 1 for c in self.a.components for mi in c.terms)
+        return self.a.unit_linear and not any(
+            np.any(c.vec[graded_size(self.dim, 1):]) for c in self.a.components)
 
     def block(self, k: int, n: int) -> np.ndarray:
         return self.blocks[(k, n)]
@@ -327,23 +328,16 @@ class ShefferSequence:
         """
         if n > self.max_degree:
             raise DegreeOverflowError(f"degree {n} exceeds built order {self.max_degree}")
-        x = [complex(v) for v in omega]
+        powers = monomial_values(graded_exponents(self.dim, n), [list(omega)])[0]
         basis_n = monomial_basis(self.dim, n)
         values = np.zeros(len(basis_n), dtype=complex)
         for k in range(n + 1):
-            basis_k = monomial_basis(self.dim, k)
-            powers = np.array([
-                math.prod(xi ** e for xi, e in zip(x, beta)) for beta in basis_k
-            ], dtype=complex)
             mat = self.blocks[(k, n)]
             if mat.dtype == object:
                 mat = mat.astype(complex)
-            values += powers @ mat
-        coeffs = {}
-        nfact = math.factorial(n)
-        for j, gamma in enumerate(basis_n):
-            coeffs[gamma] = values[j] * nfact / multi_factorial(gamma)
-        return SymCoeff.from_coeffs(self.dim, n, coeffs)
+            values += powers[graded_size(self.dim, k - 1):graded_size(self.dim, k)] @ mat
+        gamma_fact = np.array([float(multi_factorial(gamma)) for gamma in basis_n])
+        return SymCoeff(self.dim, n, values * float(math.factorial(n)) / gamma_fact)
 
     def summary_rows(self) -> list[dict]:
         rows = []
@@ -372,22 +366,15 @@ def _graded_apply(seq: ShefferSequence, blocks: dict, p: PolynomialOnDual) -> Po
         raise DegreeOverflowError(
             f"polynomial degree {deg} exceeds built order {seq.max_degree}")
     dtype = object if seq.exact else complex
-    out_vecs = []
+    out = []
     for k in range(deg + 1):
-        size = len(monomial_basis(seq.dim, k))
-        acc = np.zeros(size, dtype=dtype)
-        if seq.exact:
-            acc[...] = Fraction(0)
+        acc = np.zeros(len(monomial_basis(seq.dim, k)), dtype=dtype)
         for n in range(k, deg + 1):
             phi = p.coefficient(n)
-            if phi.is_zero:
-                continue
-            vec = phi.vector(dtype=dtype)
-            acc = acc + _matvec(blocks[(k, n)], vec)
-        out_vecs.append(acc)
-    return PolynomialOnDual.from_coeffs(
-        seq.dim,
-        [SymCoeff.from_vector(seq.dim, k, v) for k, v in enumerate(out_vecs)]).trimmed()
+            if not phi.is_zero:
+                acc = acc + blocks[(k, n)] @ np.asarray(phi.vec, dtype=dtype)
+        out.append(SymCoeff(seq.dim, k, _normalized(acc)))
+    return PolynomialOnDual.from_coeffs(seq.dim, out).trimmed()
 
 
 def _divisor_series(a: VectorSeries, rho: ScalarSeries | None, order: int
@@ -403,8 +390,7 @@ def _divisor_series(a: VectorSeries, rho: ScalarSeries | None, order: int
 
 
 def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
-    return tuple(SymCoeff.from_coeffs(series.dim, k, series.degree_part(k))
-                 for k in range(order + 1))
+    return tuple(SymCoeff(series.dim, k, series.degree_part(k)) for k in range(order + 1))
 
 
 def theta_kappa(a: VectorSeries, rho: ScalarSeries | None, order: int
@@ -431,7 +417,7 @@ def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> Shef
     a_trunc = a.truncate(order)
     if rho is not None and rho.constant_term != 1:
         raise ValueError("rho must have constant term 1")
-    if rho is not None and all(mi.degree == 0 for mi in rho.terms):
+    if rho is not None and not np.any(rho.vec[1:]):
         rho = None  # a constant divisor is the binomial-type case
     theta_series, kappa_series = _divisor_series(a_trunc, rho, order)
     blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
@@ -449,12 +435,8 @@ def build_basic(a: VectorSeries, order: int) -> ShefferSequence:
 def _assert_monic(seq: ShefferSequence) -> None:
     for n in range(seq.max_degree + 1):
         mat = seq.blocks[(n, n)]
-        size = mat.shape[0]
-        for i in range(size):
-            for j in range(size):
-                want = 1 if i == j else 0
-                if mat[i, j] != want:
-                    raise AssertionError(f"top block at degree {n} is not the identity")
+        if not np.all(mat == np.eye(mat.shape[0], dtype=int)):
+            raise AssertionError(f"top block at degree {n} is not the identity")
 
 
 def sheffer_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
@@ -500,7 +482,7 @@ def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual,
     kernels: dict[int, list[np.ndarray]] = {}
     for k in range(1, deg + 1):
         kernels[k] = [
-            to_dense(SymCoeff.from_coeffs(d, k, comp.degree_part(k)))
+            to_dense(SymCoeff(d, k, comp.degree_part(k)))
             for comp in a.components
         ]
     psi_dense: dict[int, np.ndarray] = {m: np.zeros((d,) * m, dtype=complex)
@@ -574,12 +556,13 @@ def binomial_check(seq: ShefferSequence, trials: int = 20,
         w = _random_point(seq.dim, rng)
         z = _random_point(seq.dim, rng)
         wz = [a + b for a, b in zip(w, z)]
+        at_w = [seq.polynomial_tensor(k, w) for k in range(top + 1)]
+        at_z = [seq.polynomial_tensor(k, z) for k in range(top + 1)]
         for n in range(1, top + 1):
             lhs = seq.polynomial_tensor(n, wz)
             rhs = SymCoeff.zero(seq.dim, n)
             for k in range(n + 1):
-                prod = sym_product(seq.polynomial_tensor(k, w),
-                                   seq.polynomial_tensor(n - k, z))
+                prod = sym_product(at_w[k], at_z[n - k])
                 rhs = rhs + prod.scale(float(math.comb(n, k)))
             scale = max(1.0, sym_norm(lhs), sym_norm(rhs))
             dev = sym_norm(lhs - rhs) / scale
@@ -600,7 +583,7 @@ def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator,
     for n in range(max_degree + 1):
         basis = monomial_basis(dim, n)
         vals = scale * (rng.uniform(-1, 1, len(basis)) + 1j * rng.uniform(-1, 1, len(basis)))
-        coeffs.append(SymCoeff.from_coeffs(dim, n, dict(zip(basis, vals))))
+        coeffs.append(SymCoeff(dim, n, vals))
     return PolynomialOnDual.from_coeffs(dim, coeffs)
 
 
@@ -611,10 +594,9 @@ def _block_bytes(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(mat.astype(complex)).astype("<c16").tobytes()
 
 
-# Sequence files carry this tag from the monomial-power block builder on.
-# Untagged files come from the earlier 2d-variable builder: their d = 1
-# blocks are bit-identical to a fresh build, their d >= 2 blocks may differ
-# in the last bits.
+# Sequence files carry this tag.  Untagged files, from before it, load while
+# their blocks match a fresh build bit for bit; a block that does not asks for
+# the file to be regenerated.
 SEQUENCE_FORMAT = 2
 
 
@@ -645,27 +627,29 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
 def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     """Rebuild from (A, rho); stored blocks, when present, are verified
     against the recomputation through their checksums."""
+    doc = json_object(doc, "sequence")
     version = doc.get("format_version")
     if version not in (None, SEQUENCE_FORMAT):
         raise ValueError(f"unsupported sequence format_version {version!r}")
-    a = VectorSeries.from_json_dict(doc["a"])
+    a = VectorSeries.from_json_dict(doc.get("a"))
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
-    seq = build_sheffer(a, rho, int(doc["max_degree"]))
-    blocks = doc.get("blocks")
-    if blocks:
-        for key, entry in blocks.items():
-            k, n = (int(v) for v in key.split(","))
-            raw = base64.b64decode(entry["data"])
-            if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-                raise ValueError(f"corrupt block {key}: stored checksum mismatch")
-            recomputed = _block_bytes(seq.blocks[(k, n)])
-            if hashlib.sha256(recomputed).hexdigest() == entry["sha256"]:
-                continue
-            if version is None and seq.dim >= 2:
-                raise ValueError(
-                    f"block {key} of this untagged sequence file was written by an "
-                    f"earlier block builder; regenerate the file with `shefferkit family`")
-            raise ValueError(f"block {key} disagrees with recomputation")
+    seq = build_sheffer(a, rho, json_field(doc, "max_degree", int))
+    for key, entry in json_object(doc.get("blocks") or {}, "blocks").items():
+        k, n = (int(v) for v in key.split(","))
+        entry = json_object(entry, "block")
+        if not all(isinstance(entry.get(field), str) for field in ("data", "sha256")):
+            raise ValueError(f"block {key} needs string data and sha256 fields")
+        raw = base64.b64decode(entry["data"])
+        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+            raise ValueError(f"corrupt block {key}: stored checksum mismatch")
+        recomputed = _block_bytes(seq.blocks[(k, n)])
+        if hashlib.sha256(recomputed).hexdigest() == entry["sha256"]:
+            continue
+        if version != SEQUENCE_FORMAT:
+            raise ValueError(
+                f"block {key} of this sequence file was written by an earlier "
+                f"block builder; regenerate the file with `shefferkit family`")
+        raise ValueError(f"block {key} disagrees with recomputation")
     return seq
 
 

@@ -150,9 +150,9 @@ class FamilySpec:
 def _embed_1d(series_1d: ScalarSeries, dim: int, coordinate: int) -> ScalarSeries:
     """Substitute the single variable by coordinate `coordinate` of C^dim."""
     terms = {}
-    for mi, c in series_1d.terms.items():
+    for (e,), c in series_1d.terms.items():
         exps = [0] * dim
-        exps[coordinate] = mi.exponents[0]
+        exps[coordinate] = e
         terms[tuple(exps)] = c
     return ScalarSeries.from_terms(dim, series_1d.max_degree, terms)
 

@@ -23,8 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import PolynomialOnDual, ShefferSequence, sheffer_apply
-from .series import VectorSeries, monomial_basis, vs_inverse
-from .symtensor import SymCoeff, WeightedInnerProduct, apply_slot_map, sym_dual_norm, sym_norm
+from .series import VectorSeries, evaluate_terms, graded_exponents, monomial_basis, vs_inverse
+from .symtensor import (
+    SymCoeff,
+    WeightedInnerProduct,
+    apply_slot_map,
+    norm_weights,
+    sym_dual_norm,
+    sym_norm,
+)
 
 __all__ = [
     "GradedNorm",
@@ -216,18 +223,6 @@ def _directions(dim: int, count: int, weight: WeightedInnerProduct | None,
     return out
 
 
-def _evaluate_batch(p: PolynomialOnDual, pts: np.ndarray) -> np.ndarray:
-    vals = np.zeros(pts.shape[0], dtype=complex)
-    for phi in p.coeffs:
-        for mi, c in phi.coeffs.items():
-            mono = np.ones(pts.shape[0], dtype=complex)
-            for j, e in enumerate(mi.exponents):
-                if e:
-                    mono *= pts[:, j] ** e
-            vals += complex(c) * mono
-    return vals
-
-
 def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
                       radial_grid=None, rng: np.random.Generator | None = None) -> float:
     """Lower estimate of sup |p(w)| exp(-2^{-l} ||w||^alpha).
@@ -240,7 +235,8 @@ def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
     if p.is_zero:
         return 0.0
     rng = rng if rng is not None else np.random.default_rng(0)
-    deg = p.trimmed().degree
+    trimmed = p.trimmed()
+    deg = trimmed.degree
     if radial_grid is None:
         radii = np.linspace(0.0, _auto_radial_max(deg, g), 256)
     elif isinstance(radial_grid, int):
@@ -252,7 +248,9 @@ def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
     dirs = _directions(p.dim, directions, g.weight, rng)
     damp = np.exp(-(2.0 ** (-g.level)) * radii ** g.alpha)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, p.dim)
-    vals = np.abs(_evaluate_batch(p, pts)).reshape(radii.size, dirs.shape[0])
+    coeffs = np.concatenate([c.vec for c in trimmed.coeffs])  # p's graded coefficient vector
+    vals = np.abs(evaluate_terms(coeffs, graded_exponents(p.dim, deg), pts))
+    vals = vals.reshape(radii.size, dirs.shape[0])
     return float(np.max(vals * damp[:, None]))
 
 
@@ -364,41 +362,24 @@ def graded_block_norms(vec: VectorSeries, weight: WeightedInnerProduct | None = 
     w = weight if weight is not None else WeightedInnerProduct.identity(d)
     out = []
     for k in range(1, vec.max_degree + 1):
-        basis = monomial_basis(d, k)
-        raw = np.zeros((vec.dim_out, len(basis)), dtype=complex)
-        for i, comp in enumerate(vec.components):
-            part = comp.degree_part(k)
-            for j, gamma in enumerate(basis):
-                c = part.get(gamma)
-                if c is not None:
-                    raw[i, j] = complex(c) * _basis_weight(gamma, k)
+        weights = norm_weights(d, k)
+        raw = np.stack([np.asarray(comp.degree_part(k), dtype=complex)
+                        for comp in vec.components]) * weights
         if w.is_identity:
-            scaled = raw * (1.0 / np.array([math.sqrt(_basis_weight(g, k)) for g in basis]))
-            out.append((k, _power_norm(scaled)))
+            out.append((k, _power_norm(raw * (1.0 / np.sqrt(weights)))))
             continue
         dom = _slot_matrix(d, k, w.primal_slot_map())
-        dhalf = np.diag([math.sqrt(_basis_weight(g, k)) for g in basis])
         cod = w.primal_slot_map()
-        mat = cod @ raw @ np.linalg.inv(dhalf @ dom)
+        mat = cod @ raw @ np.linalg.inv(np.diag(np.sqrt(weights)) @ dom)
         out.append((k, _power_norm(mat)))
     return out
 
 
-def _basis_weight(gamma: tuple[int, ...], degree: int) -> float:
-    num = 1
-    for e in gamma:
-        num *= math.factorial(e)
-    return num / math.factorial(degree)
-
-
 def _slot_matrix(dim: int, degree: int, slot_map: np.ndarray) -> np.ndarray:
     """Matrix of the slot substitution on the degree-k coefficient space."""
-    basis = monomial_basis(dim, degree)
-    cols = []
-    for gamma in basis:
-        e = SymCoeff.from_coeffs(dim, degree, {gamma: 1.0 + 0.0j})
-        cols.append(apply_slot_map(e, slot_map).vector())
-    return np.stack(cols, axis=1)
+    units = np.eye(len(monomial_basis(dim, degree)), dtype=complex)
+    return np.stack([apply_slot_map(SymCoeff(dim, degree, e), slot_map).vec for e in units],
+                    axis=1)
 
 
 def _envelope(norms: list[tuple[int, float]]) -> float:
@@ -492,7 +473,7 @@ def appell_condition_check(seq: ShefferSequence, beta: float,
         if seq.rho is None:
             rho_parts.append(SymCoeff.zero(seq.dim, n))
         else:
-            rho_parts.append(SymCoeff.from_coeffs(seq.dim, n, seq.rho.degree_part(n)))
+            rho_parts.append(SymCoeff(seq.dim, n, seq.rho.degree_part(n)))
     rows = []
     fits = [1.0]
     for n in range(1, seq.max_degree + 1):

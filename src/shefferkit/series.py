@@ -1,22 +1,27 @@
 """Truncated multivariate formal power series.
 
-Series live in C[[x_1, .., x_d]] truncated at a total degree N.  Terms are
-stored sparsely as a map MultiIndex -> coefficient, iterated in graded
-lexicographic order (degree first, then plain tuple order), so every walk
-over a series is deterministic.
+Series live in C[[x_1, .., x_d]] truncated at a total degree N.  A series is
+one 1-d numpy vector over the graded monomial basis: the monomials of degree
+0, 1, .., N in turn, each degree in the order of `monomial_basis` (plain
+tuple order).  A degree part is a contiguous slice of the vector and a
+truncation is a prefix of it, so every walk over a series is deterministic.
 
-Coefficients are ordinarily Python complex.  Passing `fractions.Fraction`
-(or int) coefficients switches every operation to exact rational
-arithmetic; nothing else changes.  Only coefficients that are exactly zero
-are dropped, there is no epsilon pruning.
+Coefficients are ordinarily complex128.  Passing `fractions.Fraction` (or
+int) coefficients stores them in an object vector and switches every
+operation to exact rational arithmetic; nothing else changes.  There is no
+epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 
-Float-mode multiplication accumulates on a dense ndarray internally (the
-stored representation stays sparse); this is exact coefficient arithmetic,
-not an FFT, so structural zeros remain exact zeros.
+Multiplication has one routine for both kinds of vector: a cached table maps
+a pair of graded indices to the index of the product monomial, and the
+products of the operands' nonzero entries are accumulated into the output.
+This is exact coefficient arithmetic, not an FFT, so structural zeros remain
+exact zeros.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +31,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "ScalarSeries",
     "VectorSeries",
     "monomial_basis",
@@ -39,37 +43,6 @@ __all__ = [
     "vs_compose",
     "vs_inverse",
 ]
-
-Coeff = complex  # or int / Fraction in exact mode
-
-
-@dataclass(frozen=True, init=False)
-class MultiIndex:
-    """Exponent vector of a monomial; `degree` caches the exponent sum."""
-
-    exponents: tuple[int, ...]
-    degree: int
-
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "degree", sum(exps))
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.degree, self.exponents)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{self.exponents}"
 
 
 def multi_factorial(exps: tuple[int, ...]) -> int:
@@ -100,33 +73,182 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def graded_size(dim: int, order: int) -> int:
+    """Number of monomials of total degree <= order (0 for order < 0)."""
+    return math.comb(order + dim, dim) if order >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def graded_exponents(dim: int, order: int) -> np.ndarray:
+    """monomial_basis(dim, 0), .., monomial_basis(dim, order) in turn, as a
+    read-only (graded_size, dim) integer array: the graded basis."""
+    exps = np.array([b for k in range(order + 1) for b in monomial_basis(dim, k)],
+                    dtype=np.intp).reshape(-1, dim)
+    exps.flags.writeable = False
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _rank(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+    return {b: j for j, b in enumerate(monomial_basis(dim, degree))}
+
+
+def _exponent_key(key, dim: int) -> tuple[int, ...]:
+    """`key` as an exponent tuple; anything but `dim` non-negative ints is rejected."""
+    exps = tuple(key)
+    if len(exps) != dim or not all(
+            isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e >= 0
+            for e in exps):
+        raise ValueError(f"exponent {list(exps)} must be {dim} non-negative integers")
+    return tuple(int(e) for e in exps)
+
+
+def _index(exps: tuple[int, ...]) -> int:
+    """Position of a monomial in the graded basis."""
+    degree = sum(exps)
+    return graded_size(len(exps), degree - 1) + _rank(len(exps), degree)[exps]
+
+
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _canonical_terms(terms: Mapping) -> dict[MultiIndex, Coeff]:
-    items = []
-    for key, coeff in terms.items():
-        if coeff == 0:
-            continue
-        mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
-        items.append((mi, coeff))
-    items.sort(key=lambda kv: kv[0].sort_key)
-    return dict(items)
+def _normalized(vec: np.ndarray) -> np.ndarray:
+    """An object vector that holds inexact values becomes complex128."""
+    if vec.dtype == object and not all(_is_exact(c) for c in vec):
+        return vec.astype(complex)
+    return vec
+
+
+def _coeff_vector(terms: Mapping, dim: int, low: int, high: int) -> np.ndarray:
+    """Vector over the graded basis of degrees low..high holding `terms`
+    (exponent tuple -> coefficient), exact or complex128."""
+    lo = graded_size(dim, low - 1)
+    vec = np.zeros(graded_size(dim, high) - lo, dtype=object)
+    for key, c in terms.items():
+        exps = _exponent_key(key, dim)
+        if not low <= sum(exps) <= high:
+            raise ValueError(f"exponent {exps} must have total degree in {low}..{high}")
+        vec[_index(exps) - lo] = c
+    return _normalized(vec)
+
+
+def _common(*vecs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands in one dtype: object only when all of them are exact."""
+    if all(v.dtype == object for v in vecs):
+        return vecs
+    return tuple(v.astype(complex) if v.dtype == object else v for v in vecs)
+
+
+def _scaled(vec: np.ndarray, scalar) -> np.ndarray:
+    if vec.dtype == object and _is_exact(scalar):
+        return vec * scalar
+    return np.asarray(vec, dtype=complex) * complex(scalar)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b with each part rounded as Python's complex product,
+    (ar br - ai bi) + (ar bi + ai br) i; numpy's own complex multiply fuses
+    the multiply-adds on CPUs with FMA and then rounds differently.  Exact
+    operands multiply as they are."""
+    if a.dtype == object or b.dtype == object:
+        return a * b
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def monomial_values(exps: np.ndarray, points) -> np.ndarray:
+    """x^beta for every exponent row beta of `exps` at every row x of
+    `points`; shape (points, monomials).  The powers of the variables are
+    multiplied in variable order."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != exps.shape[1]:
+        raise ValueError("point has wrong dimension")
+    out = pts[:, :1] ** exps[:, 0]
+    for j in range(1, exps.shape[1]):
+        out = _cmul(out, pts[:, j:j + 1] ** exps[:, j])
+    return out
+
+
+def evaluate_terms(coeffs: np.ndarray, exps: np.ndarray, points) -> np.ndarray:
+    """sum_beta c_beta x^beta at every row x of `points`, for coefficients
+    over the exponent rows `exps`.  The terms are added one at a time in
+    basis order, so memory stays linear in the number of points."""
+    pts = np.asarray(points, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    total = np.zeros(pts.shape[0], dtype=complex)
+    for t in np.flatnonzero(coeffs):
+        total = total + _cmul(coeffs[t], monomial_values(exps[t:t + 1], pts)[:, 0])
+    return total
+
+
+class CoeffVector:
+    """A read-only coefficient vector `vec` over the graded basis of degree
+    <= _order, from graded index `_lo` on: a ScalarSeries holds the whole
+    basis, a symtensor.SymCoeff the monomials of its one degree."""
+
+    def __post_init__(self) -> None:
+        self.vec.flags.writeable = False
+
+    def _nonzero(self) -> dict[tuple[int, ...], object]:
+        """Read-only view: exponent tuple -> coefficient of the nonzero
+        entries, in basis order."""
+        nonzero = np.flatnonzero(self.vec)
+        exps = graded_exponents(self.dim, self._order)[self._lo:][nonzero].tolist()
+        return {tuple(e): self.vec[i] for e, i in zip(exps, nonzero)}
+
+    @property
+    def is_zero(self) -> bool:
+        return np.count_nonzero(self.vec) == 0
+
+    @property
+    def exact(self) -> bool:
+        return self.vec.dtype == object
+
+    def coefficient(self, exps):
+        i = _index(_exponent_key(exps, self.dim)) - self._lo
+        return self.vec[i] if 0 <= i < len(self.vec) else 0
+
+    def scale(self, scalar):
+        return dataclasses.replace(self, vec=_scaled(self.vec, scalar))
+
+    def evaluate(self, point) -> complex:
+        """Numeric evaluation sum_beta c_beta x^beta at a complex vector."""
+        exps = graded_exponents(self.dim, self._order)[self._lo:]
+        return complex(evaluate_terms(self.vec, exps, [list(point)])[0])
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.dim == other.dim
+                and self._order == other._order and bool(np.all(self.vec == other.vec)))
+
+    def _json_terms(self) -> list[dict]:
+        return [{"exp": list(exps), "re": float(complex(c).real), "im": float(complex(c).imag)}
+                for exps, c in self._nonzero().items()]
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarSeries:
-    """Sparse truncated power series in `dim` variables, total degree <= max_degree.
+class ScalarSeries(CoeffVector):
+    """Truncated power series in `dim` variables, total degree <= max_degree.
 
-    Values are immutable after construction; all operations return new
-    series.  Construct through :meth:`from_terms` which canonicalizes term
-    order, validates indices and drops exact zeros.
+    `vec` holds the coefficients over the graded basis of degree <=
+    max_degree.  Values are immutable after construction; all operations
+    return new series.  Construct through :meth:`from_terms`, which
+    validates the exponents.
     """
 
     dim: int
     max_degree: int
-    terms: dict[MultiIndex, Coeff]
+    vec: np.ndarray
+
+    _lo = 0
+    terms = functools.cached_property(CoeffVector._nonzero)
+
+    @property
+    def _order(self) -> int:
+        return self.max_degree
 
     @classmethod
     def from_terms(cls, dim: int, max_degree: int, terms: Mapping) -> "ScalarSeries":
@@ -134,13 +256,7 @@ class ScalarSeries:
             raise ValueError("dim must be positive")
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        canon = _canonical_terms(terms)
-        for mi in canon:
-            if mi.dim != dim:
-                raise ValueError(f"index {mi} has wrong dimension (expected {dim})")
-            if mi.degree > max_degree:
-                raise ValueError(f"index {mi} exceeds max_degree {max_degree}")
-        return cls(dim, max_degree, canon)
+        return cls(dim, max_degree, _coeff_vector(terms, dim, 0, max_degree))
 
     @classmethod
     def zero(cls, dim: int, max_degree: int) -> "ScalarSeries":
@@ -170,63 +286,33 @@ class ScalarSeries:
     # -- inspection ------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def exact(self) -> bool:
-        return all(_is_exact(c) for c in self.terms.values())
-
-    @property
     def constant_term(self):
-        return self.terms.get(MultiIndex((0,) * self.dim), 0)
+        return self.vec[0]
 
-    def coefficient(self, exps) -> Coeff:
-        mi = exps if isinstance(exps, MultiIndex) else MultiIndex(exps)
-        return self.terms.get(mi, 0)
-
-    def degree_part(self, degree: int) -> dict[tuple[int, ...], Coeff]:
-        return {mi.exponents: c for mi, c in self.terms.items() if mi.degree == degree}
+    def degree_part(self, degree: int) -> np.ndarray:
+        """Coefficients of the given degree, over monomial_basis(dim, degree)."""
+        return self.vec[graded_size(self.dim, degree - 1):graded_size(self.dim, degree)]
 
     def truncate(self, max_degree: int) -> "ScalarSeries":
         if max_degree > self.max_degree:
             raise ValueError("cannot extend a truncated series")
-        return ScalarSeries.from_terms(
-            self.dim, max_degree,
-            {mi: c for mi, c in self.terms.items() if mi.degree <= max_degree})
-
-    def evaluate(self, point) -> complex:
-        """Numeric evaluation sum_beta c_beta x^beta at a complex vector."""
-        x = [complex(v) for v in point]
-        if len(x) != self.dim:
-            raise ValueError("point has wrong dimension")
-        total = 0.0 + 0.0j
-        for mi, c in self.terms.items():
-            v = complex(c)
-            for xi, e in zip(x, mi.exponents):
-                if e:
-                    v *= xi ** e
-            total += v
-        return total
+        return ScalarSeries(self.dim, max_degree, self.vec[:graded_size(self.dim, max_degree)])
 
     # -- arithmetic ------------------------------------------------------
 
-    def _require_same_shape(self, other: "ScalarSeries") -> None:
+    def _aligned(self, other: "ScalarSeries") -> tuple[int, np.ndarray, np.ndarray]:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        n = min(self.max_degree, other.max_degree)
+        size = graded_size(self.dim, n)
+        return (n, *_common(self.vec[:size], other.vec[:size]))
 
     def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
-        self._require_same_shape(other)
-        n = min(self.max_degree, other.max_degree)
-        out = {mi: c for mi, c in self.terms.items() if mi.degree <= n}
-        for mi, c in other.terms.items():
-            if mi.degree <= n:
-                out[mi] = out.get(mi, 0) + c
-        return ScalarSeries.from_terms(self.dim, n, out)
+        n, a, b = self._aligned(other)
+        return ScalarSeries(self.dim, n, a + b)
 
     def __neg__(self) -> "ScalarSeries":
-        return ScalarSeries.from_terms(
-            self.dim, self.max_degree, {mi: -c for mi, c in self.terms.items()})
+        return ScalarSeries(self.dim, self.max_degree, -self.vec)
 
     def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
         return self + (-other)
@@ -238,98 +324,93 @@ class ScalarSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, scalar) -> "ScalarSeries":
-        if scalar == 0:
-            return ScalarSeries.zero(self.dim, self.max_degree)
-        return ScalarSeries.from_terms(
-            self.dim, self.max_degree, {mi: c * scalar for mi, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ScalarSeries) and self.dim == other.dim
-                and self.max_degree == other.max_degree and self.terms == other.terms)
-
     def __repr__(self) -> str:
-        return f"ScalarSeries(dim={self.dim}, N={self.max_degree}, nnz={len(self.terms)})"
+        return (f"ScalarSeries(dim={self.dim}, N={self.max_degree}, "
+                f"nnz={np.count_nonzero(self.vec)})")
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """Round-trips losslessly for finite double coefficients."""
-        return {
-            "dim": self.dim,
-            "max_degree": self.max_degree,
-            "terms": [
-                {"exp": list(mi.exponents), "re": float(complex(c).real), "im": float(complex(c).imag)}
-                for mi, c in self.terms.items()
-            ],
-        }
+        return {"dim": self.dim, "max_degree": self.max_degree, "terms": self._json_terms()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScalarSeries":
-        terms = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in doc["terms"]}
-        return cls.from_terms(int(doc["dim"]), int(doc["max_degree"]), terms)
+        doc = json_object(doc, "series")
+        dim = json_field(doc, "dim", int)
+        return cls.from_terms(dim, json_field(doc, "max_degree", int), json_terms(doc, dim))
+
+
+# -- JSON term documents ---------------------------------------------------
+
+
+def json_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    return doc
+
+
+def json_field(doc: dict, key: str, kind: type):
+    """doc[key], which must be a JSON value of `kind` (int or list)."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
+    """The `terms` list of a document, {"exp": [...], "re": x, "im": y} each:
+    exponents of length `dim`, finite real and imaginary parts."""
+    terms = {}
+    for term in json_field(doc, "terms", list):
+        term = json_object(term, "term")
+        parts = [term.get("re"), term.get("im")]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                   and math.isfinite(p) for p in parts):
+            raise ValueError(f"term parts re, im must be finite numbers, got {parts}")
+        terms[_exponent_key(json_field(term, "exp", list), dim)] = complex(*parts)
+    return terms
 
 
 # -- multiplication ------------------------------------------------------
 
+@lru_cache(maxsize=4)
+def _product_table(dim: int, order: int) -> np.ndarray:
+    """T[i, j] = graded index of x^(e_i + e_j) for the graded indices i, j of
+    degree <= order; -1 where the product's degree passes `order`."""
+    exps = graded_exponents(dim, order)
+    radix = (order + 1) ** np.arange(dim, dtype=np.int64)
+    keys = exps @ radix
+    by_key = np.argsort(keys)
+    pos = np.searchsorted(keys[by_key], (exps[:, None, :] + exps[None, :, :]) @ radix)
+    degrees = exps.sum(axis=1)
+    table = np.where(degrees[:, None] + degrees[None, :] <= order,
+                     by_key[pos.clip(max=len(keys) - 1)], -1)
+    table.flags.writeable = False
+    return table
 
-@lru_cache(maxsize=64)
-def _degree_cube(shape: tuple[int, ...]) -> np.ndarray:
-    grids = np.indices(shape)
-    return grids.sum(axis=0)
 
-
-def _mul_dict(a: ScalarSeries, b: ScalarSeries, n: int) -> dict:
-    out: dict[MultiIndex, Coeff] = {}
-    for mia, ca in a.terms.items():
-        if mia.degree > n:
-            continue
-        rem = n - mia.degree
-        ea = mia.exponents
-        for mib, cb in b.terms.items():
-            if mib.degree > rem:
-                continue
-            key = MultiIndex(x + y for x, y in zip(ea, mib.exponents))
-            out[key] = out.get(key, 0) + ca * cb
+def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
+                ib: np.ndarray, vb: np.ndarray, mul) -> np.ndarray:
+    """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
+    over the pairs of entries (graded indices ia, ib), `mul` being the
+    elementwise product; the contributions to an entry are added in the
+    order of ia."""
+    targets = _product_table(dim, order)[np.ix_(ia, ib)]
+    rows, cols = np.nonzero(targets >= 0)
+    out = np.zeros(graded_size(dim, order), dtype=va.dtype)
+    np.add.at(out, targets[rows, cols], mul(va[rows], vb[cols]))
     return out
 
 
-def _mul_dense(a: ScalarSeries, b: ScalarSeries, n: int) -> dict:
-    ta = [(mi.exponents, complex(c)) for mi, c in a.terms.items() if mi.degree <= n]
-    tb = [(mi.exponents, complex(c)) for mi, c in b.terms.items() if mi.degree <= n]
-    if not ta or not tb:
-        return {}
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    dim = a.dim
-    bmax = [max(e[i] for e, _ in tb) for i in range(dim)]
-    amax = [max(e[i] for e, _ in ta) for i in range(dim)]
-    shape = tuple(min(n, amax[i] + bmax[i]) + 1 for i in range(dim))
-    bcube = np.zeros(tuple(m + 1 for m in bmax), dtype=complex)
-    for e, c in tb:
-        bcube[e] = c
-    out = np.zeros(shape, dtype=complex)
-    for e, c in ta:
-        dst = tuple(slice(e[i], min(shape[i], e[i] + bmax[i] + 1)) for i in range(dim))
-        src = tuple(slice(0, min(shape[i] - e[i], bmax[i] + 1)) for i in range(dim))
-        out[dst] += c * bcube[src]
-    out[_degree_cube(shape) > n] = 0.0
-    result = {}
-    for idx in np.argwhere(out):
-        key = tuple(int(v) for v in idx)
-        result[MultiIndex(key)] = complex(out[key])
-    return result
-
-
 def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
-    """Product truncated at min(N_a, N_b)."""
-    a._require_same_shape(b)
-    n = min(a.max_degree, b.max_degree)
-    if a.exact and b.exact:
-        out = _mul_dict(a, b, n)
-    else:
-        out = _mul_dense(a, b, n)
-    return ScalarSeries.from_terms(a.dim, n, out)
+    """Product truncated at min(N_a, N_b); the outer loop of the accumulation
+    runs over the operand with fewer nonzero entries."""
+    n, va, vb = a._aligned(b)
+    ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
+    if len(ia) > len(ib):
+        ia, ib, va, vb = ib, ia, vb, va
+    return ScalarSeries(a.dim, n, _accumulate(a.dim, n, ia, va[ia], ib, vb[ib], np.multiply))
 
 
 def _inverse_int(m: int, exact: bool):
@@ -418,7 +499,7 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
     comps = [c.truncate(min(n, c.max_degree)) for c in g.components]
     zero = ScalarSeries.zero(dim, n)
 
-    def rec(terms: dict[tuple[int, ...], Coeff], var: int) -> ScalarSeries:
+    def rec(terms: dict[tuple[int, ...], object], var: int) -> ScalarSeries:
         if not terms:
             return zero
         if var < 0:
@@ -438,8 +519,7 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
                 acc = acc + rec(sub, var - 1)
         return acc
 
-    raw = {mi.exponents: c for mi, c in f.terms.items() if mi.degree <= f.max_degree}
-    return rec(raw, f.dim - 1)
+    return rec(f.terms, f.dim - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,16 +560,11 @@ class VectorSeries:
     @property
     def unit_linear(self) -> bool:
         """True when the degree-1 part is the identity map (requires square)."""
-        if self.dim_in != self.dim_out:
+        if self.dim_in != self.dim_out or self.max_degree < 1:
             return False
-        for i, comp in enumerate(self.components):
-            for j in range(self.dim_in):
-                exps = [0] * self.dim_in
-                exps[j] = 1
-                want = 1 if i == j else 0
-                if comp.coefficient(tuple(exps)) != want:
-                    return False
-        return True
+        units = np.array(monomial_basis(self.dim_in, 1))
+        return all(bool(np.all(comp.degree_part(1) == units[:, i]))
+                   for i, comp in enumerate(self.components))
 
     @property
     def exact(self) -> bool:
@@ -518,8 +593,9 @@ class VectorSeries:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VectorSeries":
+        doc = json_object(doc, "vector series")
         return cls.from_components(
-            ScalarSeries.from_json_dict(c) for c in doc["components"])
+            ScalarSeries.from_json_dict(c) for c in json_field(doc, "components", list))
 
 
 def vs_compose(outer: VectorSeries, inner: VectorSeries) -> VectorSeries:
@@ -542,19 +618,11 @@ def vs_inverse(a: VectorSeries) -> VectorSeries:
         raise ValueError("vs_inverse requires a unit linear part (a_1 = identity)")
     n = a.max_degree
     dim = a.dim_in
-    exact = a.exact
-    b_terms: list[dict] = []
-    for i in range(dim):
-        exps = [0] * dim
-        exps[i] = 1
-        b_terms.append({tuple(exps): 1 if exact else (1.0 + 0.0j)})
+    b = [ScalarSeries.variable(dim, n, i, exact=a.exact).vec.copy() for i in range(dim)]
     for deg in range(2, n + 1):
-        b_cur = VectorSeries.from_components(
-            ScalarSeries.from_terms(dim, deg, t) for t in b_terms)
+        lo, hi = graded_size(dim, deg - 1), graded_size(dim, deg)
+        b_cur = VectorSeries.from_components(ScalarSeries(dim, deg, v[:hi].copy()) for v in b)
         comp = vs_compose(b_cur, a.truncate(deg))
-        for i, c in enumerate(comp.components):
-            for exps, coeff in c.degree_part(deg).items():
-                if coeff != 0:
-                    b_terms[i][exps] = b_terms[i].get(exps, 0) - coeff
-    return VectorSeries.from_components(
-        ScalarSeries.from_terms(dim, n, t) for t in b_terms)
+        for v, c in zip(b, comp.components):
+            v[lo:hi] -= c.vec[lo:hi]
+    return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)

@@ -3,7 +3,11 @@
 A degree-n symmetric tensor over C^d is stored by the coefficients c_beta
 of its evaluation polynomial,
 
-    <w^{(x)n}, phi> = sum_{|beta|=n} c_beta w^beta.
+    <w^{(x)n}, phi> = sum_{|beta|=n} c_beta w^beta,
+
+as one numpy vector over monomial_basis(d, n), the same layout as the
+degree-n slice of a series (see `series`): complex128, or an object vector
+of int/Fraction in exact mode.
 
 Conversion table (identity weight; `beta!` is the multi-factorial):
 
@@ -22,6 +26,7 @@ after a linear substitution of the coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +37,17 @@ from typing import Mapping
 import numpy as np
 
 from .series import (
-    MultiIndex,
+    CoeffVector,
     ScalarSeries,
     VectorSeries,
+    _accumulate,
+    _cmul,
+    _coeff_vector,
+    _common,
+    graded_size,
+    json_field,
+    json_object,
+    json_terms,
     monomial_basis,
     multi_factorial,
     ps_compose,
@@ -57,27 +70,27 @@ DENSE_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
-class SymCoeff:
-    """Monomial coefficients of one homogeneous symmetric tensor."""
+class SymCoeff(CoeffVector):
+    """Monomial coefficients of one homogeneous symmetric tensor; `vec` is
+    over monomial_basis(dim, degree)."""
 
     dim: int
     degree: int
-    coeffs: dict[MultiIndex, complex]
+    vec: np.ndarray
+
+    coeffs = functools.cached_property(CoeffVector._nonzero)
+
+    @property
+    def _order(self) -> int:
+        return self.degree
+
+    @property
+    def _lo(self) -> int:
+        return graded_size(self.dim, self.degree - 1)
 
     @classmethod
     def from_coeffs(cls, dim: int, degree: int, coeffs: Mapping) -> "SymCoeff":
-        canon = {}
-        for key, c in coeffs.items():
-            if c == 0:
-                continue
-            mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
-            if mi.dim != dim:
-                raise ValueError(f"index {mi} has wrong dimension")
-            if mi.degree != degree:
-                raise ValueError(f"index {mi} must have degree exactly {degree}")
-            canon[mi] = c
-        ordered = dict(sorted(canon.items(), key=lambda kv: kv[0].exponents))
-        return cls(dim, degree, ordered)
+        return cls(dim, degree, _coeff_vector(coeffs, dim, degree, degree))
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "SymCoeff":
@@ -87,82 +100,27 @@ class SymCoeff:
     def scalar(cls, dim: int, value) -> "SymCoeff":
         return cls.from_coeffs(dim, 0, {(0,) * dim: value})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs.values())
-
-    def coefficient(self, exps) -> complex:
-        mi = exps if isinstance(exps, MultiIndex) else MultiIndex(exps)
-        return self.coeffs.get(mi, 0)
-
-    def vector(self, dtype=complex) -> np.ndarray:
-        """Coefficients in canonical basis order (see monomial_basis)."""
-        basis = monomial_basis(self.dim, self.degree)
-        if dtype is object:
-            return np.array([self.coefficient(b) for b in basis], dtype=object)
-        return np.array([complex(self.coefficient(b)) for b in basis], dtype=complex)
-
-    @classmethod
-    def from_vector(cls, dim: int, degree: int, vec) -> "SymCoeff":
-        basis = monomial_basis(dim, degree)
-        return cls.from_coeffs(dim, degree, {b: v for b, v in zip(basis, vec)})
-
     def __add__(self, other: "SymCoeff") -> "SymCoeff":
         if (self.dim, self.degree) != (other.dim, other.degree):
             raise ValueError("shape mismatch")
-        out = dict(self.coeffs)
-        for mi, c in other.coeffs.items():
-            out[mi] = out.get(mi, 0) + c
-        return SymCoeff.from_coeffs(self.dim, self.degree, out)
+        a, b = _common(self.vec, other.vec)
+        return SymCoeff(self.dim, self.degree, a + b)
 
     def __sub__(self, other: "SymCoeff") -> "SymCoeff":
         return self + other.scale(-1)
 
-    def scale(self, scalar) -> "SymCoeff":
-        return SymCoeff.from_coeffs(
-            self.dim, self.degree, {mi: c * scalar for mi, c in self.coeffs.items()})
-
-    def evaluate(self, point) -> complex:
-        """<w^{(x)n}, phi> at a numeric w."""
-        x = [complex(v) for v in point]
-        total = 0.0 + 0.0j
-        for mi, c in self.coeffs.items():
-            v = complex(c)
-            for xi, e in zip(x, mi.exponents):
-                if e:
-                    v *= xi ** e
-            total += v
-        return total
-
-    def as_series(self, max_degree: int | None = None) -> ScalarSeries:
-        n = self.degree if max_degree is None else max_degree
-        return ScalarSeries.from_terms(self.dim, n, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymCoeff) and self.dim == other.dim
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
     def __repr__(self) -> str:
-        return f"SymCoeff(dim={self.dim}, degree={self.degree}, nnz={len(self.coeffs)})"
+        return (f"SymCoeff(dim={self.dim}, degree={self.degree}, "
+                f"nnz={np.count_nonzero(self.vec)})")
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "degree": self.degree,
-            "terms": [
-                {"exp": list(mi.exponents), "re": float(complex(c).real), "im": float(complex(c).imag)}
-                for mi, c in self.coeffs.items()
-            ],
-        }
+        return {"dim": self.dim, "degree": self.degree, "terms": self._json_terms()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SymCoeff":
-        terms = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in doc["terms"]}
-        return cls.from_coeffs(int(doc["dim"]), int(doc["degree"]), terms)
+        doc = json_object(doc, "tensor")
+        dim = json_field(doc, "dim", int)
+        return cls.from_coeffs(dim, json_field(doc, "degree", int), json_terms(doc, dim))
 
 
 class WeightedInnerProduct:
@@ -225,8 +183,13 @@ def _resolve_weight(dim: int, weight: WeightedInnerProduct | None) -> WeightedIn
 
 
 @lru_cache(maxsize=None)
-def _norm_weight(exps: tuple[int, ...], degree: int) -> float:
-    return float(Fraction(multi_factorial(exps), math.factorial(degree)))
+def norm_weights(dim: int, degree: int) -> np.ndarray:
+    """beta!/n! over monomial_basis(dim, degree), each rounded once."""
+    nfact = math.factorial(degree)
+    weights = np.array([float(Fraction(multi_factorial(b), nfact))
+                        for b in monomial_basis(dim, degree)])
+    weights.flags.writeable = False
+    return weights
 
 
 def apply_slot_map(phi: SymCoeff, matrix: np.ndarray) -> SymCoeff:
@@ -243,16 +206,12 @@ def apply_slot_map(phi: SymCoeff, matrix: np.ndarray) -> SymCoeff:
         return phi
     comps = []
     for j in range(d):
-        terms = {}
-        for i in range(d):
-            if m[i, j] != 0:
-                exps = [0] * d
-                exps[i] = 1
-                terms[tuple(exps)] = complex(m[i, j])
-        comps.append(ScalarSeries.from_terms(d, phi.degree, terms))
+        vec = np.zeros(graded_size(d, phi.degree), dtype=complex)
+        vec[1:d + 1] = m[::-1, j]  # the degree-1 monomials run x_d, .., x_1
+        comps.append(ScalarSeries(d, phi.degree, vec))
     sub = VectorSeries.from_components(comps)
-    out = ps_compose(phi.as_series(), sub)
-    return SymCoeff.from_coeffs(d, phi.degree, {mi: c for mi, c in out.terms.items()})
+    series = ScalarSeries.from_terms(d, phi.degree, phi.coeffs)
+    return SymCoeff(d, phi.degree, ps_compose(series, sub).degree_part(phi.degree))
 
 
 def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float:
@@ -265,8 +224,10 @@ def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float
     w = _resolve_weight(phi.dim, weight)
     work = phi if w.is_identity else apply_slot_map(phi, w.primal_slot_map())
     total = 0.0
-    for mi, c in work.coeffs.items():
-        total += _norm_weight(mi.exponents, work.degree) * abs(complex(c)) ** 2
+    for weight, c in zip(norm_weights(work.dim, work.degree).tolist(),
+                         np.asarray(work.vec, dtype=complex).tolist()):
+        if c:
+            total += weight * abs(c) ** 2
     return math.sqrt(total)
 
 
@@ -285,12 +246,12 @@ def sym_product(a: SymCoeff, b: SymCoeff) -> SymCoeff:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out: dict[MultiIndex, complex] = {}
-    for mia, ca in a.coeffs.items():
-        for mib, cb in b.coeffs.items():
-            key = mia + mib
-            out[key] = out.get(key, 0) + ca * cb
-    return SymCoeff.from_coeffs(a.dim, a.degree + b.degree, out)
+    dim, degree = a.dim, a.degree + b.degree
+    va, vb = _common(a.vec, b.vec)
+    ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
+    out = _accumulate(dim, degree, ia + graded_size(dim, a.degree - 1), va[ia],
+                      ib + graded_size(dim, b.degree - 1), vb[ib], _cmul)
+    return SymCoeff(dim, degree, out[graded_size(dim, degree - 1):])
 
 
 def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:
@@ -312,11 +273,9 @@ def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:
     if k > n:
         raise ValueError(f"cannot contract degree {k} into degree {n}")
     exact = theta.exact and phi.exact
-    out: dict[MultiIndex, complex] = {}
-    for mib, c in phi.coeffs.items():
-        big = mib.exponents
-        for mig, t in theta.coeffs.items():
-            gam = mig.exponents
+    out: dict[tuple[int, ...], complex] = {}
+    for big, c in phi.coeffs.items():
+        for gam, t in theta.coeffs.items():
             if any(g > bb for g, bb in zip(gam, big)):
                 continue
             delta = tuple(bb - g for bb, g in zip(big, gam))
@@ -324,16 +283,8 @@ def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:
                               math.factorial(n) * multi_factorial(delta))
             if not exact:
                 factor = float(factor)
-            key = MultiIndex(delta)
-            out[key] = out.get(key, 0) + t * c * factor
+            out[delta] = out.get(delta, 0) + t * c * factor
     return SymCoeff.from_coeffs(phi.dim, n - k, out)
-
-
-def _content(positions: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    counts = [0] * dim
-    for p in positions:
-        counts[p] += 1
-    return tuple(counts)
 
 
 def _scale_exact(value, frac: Fraction):
@@ -352,13 +303,13 @@ def to_dense(phi: SymCoeff, budget: int = DENSE_BUDGET) -> np.ndarray:
     d, n = phi.dim, phi.degree
     if d ** n > budget:
         raise ValueError(f"dense budget exceeded: {d}^{n} > {budget}")
-    exact = bool(phi.coeffs) and phi.exact
+    exact = not phi.is_zero and phi.exact
     out = np.zeros((d,) * n, dtype=object if exact else complex)
     if exact:
         out[...] = Fraction(0)
     nfact = math.factorial(n)
     for pos in itertools.product(range(d), repeat=n):
-        beta = _content(pos, d)
+        beta = tuple(pos.count(i) for i in range(d))
         c = phi.coefficient(beta)
         if c == 0:
             continue

@@ -129,14 +129,27 @@ def recip_triangular_1d(coeffs: list[complex], order: int) -> list[complex]:
     return r
 
 
+def dict_product(a: ScalarSeries, b: ScalarSeries) -> dict[tuple[int, ...], object]:
+    """Product truncated at min(N_a, N_b) as an exponent-tuple map, by the
+    explicit double loop over both operands' terms."""
+    n = min(a.max_degree, b.max_degree)
+    out: dict[tuple[int, ...], object] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            if sum(key) <= n:
+                out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c != 0}
+
+
 def naive_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
     """Substitute by explicit powering (no Horner), for cross-checks."""
     n = min(f.max_degree, g.max_degree)
     dim = g.dim_in
     out = ScalarSeries.zero(dim, n)
-    for mi, c in f.terms.items():
+    for exps, c in f.terms.items():
         term = ScalarSeries.constant(dim, n, c)
-        for j, e in enumerate(mi.exponents):
+        for j, e in enumerate(exps):
             for _ in range(e):
                 term = term * g.components[j].truncate(n)
         out = out + term

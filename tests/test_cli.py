@@ -200,6 +200,20 @@ class TestConfig:
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert run(["check", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2], {"max_degree": "3"}, {"max_degree": 3.0}, {"max_degree": True},
+        {"degrees": 5}, {"alpha": "2"}, {"out": 7}, {"format": "xml"}],
+        ids=["not-object", "int-as-str", "int-as-float", "int-as-bool", "degrees-int",
+             "float-as-str", "out-int", "format-xml"])
+    def test_config_values_typed(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "sweep.json"
+        assert run(["diverge", "--kind", "falling", "--max-degree", 6, "--degrees", "1:6",
+                    "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_spec(self, tmp_path):
@@ -248,6 +262,66 @@ class TestExitCodes:
         assert run(["family", "--kind", "laguerre", "--config", cfg,
                     "--out", out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["coefficients"][1]["terms"][0].update(re="1"),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(im=None),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(re=float("nan")),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(im=float("inf")),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(exp=[0.5]),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(exp=[-1]),
+        lambda doc: doc["coefficients"][1]["terms"][0].update(exp=[1, 0]),
+        lambda doc: doc["coefficients"][1].update(terms={}),
+        lambda doc: doc["coefficients"][1].update(degree=2),
+        lambda doc: doc.update(coefficients="x"),
+        lambda doc: doc.update(dim=None),
+        lambda doc: doc.clear() or doc.update(polynomial=[]),
+    ], ids=["re-str", "im-null", "re-nan", "im-inf", "exp-float", "exp-negative",
+            "exp-length", "terms-object", "degree-slot", "coefficients-str", "dim-null", "no-fields"])
+    def test_bad_polynomial_documents(self, tmp_path, capsys, edit):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])
+        doc = PolynomialOnDual.monomial(1, (1,)).to_json_dict()
+        edit(doc)
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert run(["expand", "--sequence", seq_file, "--input", poly, "--out", out]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bad_documents_of_each_kind(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])
+        poly = monomial_file(tmp_path, "z2.json", 1, (2,))
+        top_level_list = tmp_path / "list.json"
+        top_level_list.write_text("[]", encoding="utf-8")
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps({"dim": 1, "max_degree": 4, "terms": [
+            {"exp": [0], "re": 1.0, "im": 0.0}, {"exp": [2], "re": float("nan"), "im": 0.0}]}),
+            encoding="utf-8")
+        vec = tmp_path / "a.json"
+        vec.write_text(json.dumps({"components": "x"}), encoding="utf-8")
+        seq_doc = json.loads(seq_file.read_text(encoding="utf-8"))
+        seq_doc["blocks"]["1,3"]["data"] = 5
+        bad_block = tmp_path / "bad_block.json"
+        bad_block.write_text(json.dumps(seq_doc), encoding="utf-8")
+        seq_doc["blocks"] = [1]
+        bad_blocks = tmp_path / "bad_blocks.json"
+        bad_blocks.write_text(json.dumps(seq_doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        for args in (["expand", "--sequence", seq_file, "--input", top_level_list],
+                     ["expand", "--sequence", top_level_list, "--input", poly],
+                     ["expand", "--sequence", bad_block, "--input", poly],
+                     ["expand", "--sequence", bad_blocks, "--input", poly],
+                     ["family", "--kind", "custom", "--a", "identity", "--rho", rho],
+                     ["family", "--kind", "custom", "--a", vec],
+                     ["family", "--kind", "custom", "--a", top_level_list]):
+            assert run(args + ["--max-degree", 4, "--out", out]) == 2, args
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists()
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

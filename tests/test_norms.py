@@ -307,14 +307,11 @@ class TestBlockNorms:
             basis = monomial_basis(2, k)
             mat = np.zeros((2, len(basis)), dtype=complex)
             for i, comp in enumerate(vec.components):
-                part = comp.degree_part(k)
-                for j, gamma in enumerate(basis):
-                    c = part.get(gamma)
-                    if c is not None:
-                        num = 1
-                        for e in gamma:
-                            num *= math.factorial(e)
-                        mat[i, j] = complex(c) * math.sqrt(num / math.factorial(k))
+                for j, (gamma, c) in enumerate(zip(basis, comp.degree_part(k))):
+                    num = 1
+                    for e in gamma:
+                        num *= math.factorial(e)
+                    mat[i, j] = complex(c) * math.sqrt(num / math.factorial(k))
             assert abs(norms[k] - np.linalg.norm(mat, 2)) <= 1e-8
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from shefferkit.series import (
-    MultiIndex,
     ScalarSeries,
     VectorSeries,
     monomial_basis,
@@ -20,7 +19,13 @@ from shefferkit.series import (
 )
 
 from conftest import series_diff, vector_diff
-from oracles import naive_compose, random_series, random_unit_linear, recip_triangular_1d
+from oracles import (
+    dict_product,
+    naive_compose,
+    random_series,
+    random_unit_linear,
+    recip_triangular_1d,
+)
 
 
 def u_series(order, exact=False):
@@ -29,20 +34,6 @@ def u_series(order, exact=False):
 
 def one(order, exact=False, dim=1):
     return ScalarSeries.one(dim, order, exact=exact)
-
-
-class TestMultiIndex:
-    def test_degree_cached(self):
-        mi = MultiIndex((2, 0, 3))
-        assert mi.degree == 5
-        assert mi.dim == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
-
-    def test_add(self):
-        assert MultiIndex((1, 2)) + MultiIndex((0, 3)) == MultiIndex((1, 5))
 
 
 class TestMul:
@@ -58,7 +49,7 @@ class TestMul:
         x = ScalarSeries.from_terms(2, 2, {(0, 0): 1, (1, 0): 1})
         y = ScalarSeries.from_terms(2, 2, {(0, 0): 1, (0, 1): 1})
         p = ps_mul(x, y)
-        assert {mi.exponents: c for mi, c in p.terms.items()} == {
+        assert p.terms == {
             (0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
     def test_exp_times_exp_minus(self):
@@ -67,7 +58,7 @@ class TestMul:
         p = ps_mul(e1, e2)
         assert p.constant_term == 1
         assert all(abs(complex(c)) < 1e-14
-                   for mi, c in p.terms.items() if mi.degree > 0)
+                   for exps, c in p.terms.items() if sum(exps) > 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -77,6 +68,34 @@ class TestMul:
         a = ScalarSeries.from_coeffs_1d([1, 1, 1, 1], 3)
         b = ScalarSeries.from_coeffs_1d([1, 1], 5)
         assert ps_mul(a, b).max_degree == 3
+
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 8), (3, 6), (4, 5)])
+    def test_matches_dict_oracle(self, rng, dim, order):
+        # sparse and dense operands, plus a single term times a dense series;
+        # exact series match the oracle exactly, float ones to 1e-15 relative
+        def operand(keep, exact):
+            terms = {}
+            for deg in range(order + 1):
+                for b in monomial_basis(dim, deg):
+                    if rng.uniform() < keep:
+                        terms[b] = F(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) \
+                            if exact else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            return ScalarSeries.from_terms(dim, order, terms)
+
+        for exact in (True, False):
+            single = ScalarSeries.from_terms(
+                dim, order, {monomial_basis(dim, 2)[-1]: F(3, 7) if exact else 0.3 - 0.7j})
+            pairs = [(operand(keep, exact), operand(keep, exact))
+                     for keep in (0.1, 0.3, 1.0) for _ in range(3)]
+            pairs += [(single, operand(1.0, exact)), (operand(1.0, exact), single)]
+            for a, b in pairs:
+                got, want = ps_mul(a, b).terms, dict_product(a, b)
+                if exact:
+                    assert got == want
+                    continue
+                scale = max((abs(c) for c in want.values()), default=1.0)
+                assert max((abs(got.get(e, 0) - want.get(e, 0))
+                            for e in got.keys() | want.keys()), default=0.0) <= 1e-15 * scale
 
     def test_ring_laws_random(self, rng):
         worst = 0.0
@@ -161,7 +180,7 @@ class TestCompose:
         f = ScalarSeries.from_terms(1, 4, {(2,): 1.0})
         g = VectorSeries.from_scalar_1d(ScalarSeries.from_coeffs_1d([0, 1, 1], 4))
         c = ps_compose(f, g)
-        assert {mi.exponents: complex(v) for mi, v in c.terms.items()} == {
+        assert {exps: complex(v) for exps, v in c.terms.items()} == {
             (2,): 1, (3,): 2, (4,): 1}
 
     def test_identity_substitution_is_exact(self, rng):
@@ -267,3 +286,18 @@ class TestBasis:
     def test_exceeding_degree_rejected(self):
         with pytest.raises(ValueError):
             ScalarSeries.from_terms(1, 2, {(3,): 1.0})
+
+    @pytest.mark.parametrize("key", [(1, -1), (1,), (1, 0, 0), (0.5, 0), (True, 0)])
+    def test_bad_exponents_rejected(self, key):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            ScalarSeries.from_terms(2, 3, {key: 1.0})
+
+    def test_graded_layout(self):
+        # degree parts are consecutive slices of one vector, each in
+        # monomial_basis order; a truncation is a prefix
+        s = ScalarSeries.from_terms(2, 3, {b: F(10 * sum(b) + b[0]) for k in range(4)
+                                           for b in monomial_basis(2, k)})
+        assert list(s.vec) == [0, 10, 11, 20, 21, 22, 30, 31, 32, 33]
+        assert list(s.degree_part(2)) == [20, 21, 22]
+        assert list(s.truncate(1).vec) == [0, 10, 11]
+        assert list(s.terms) == [b for k in range(1, 4) for b in monomial_basis(2, k)]
