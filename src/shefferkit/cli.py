@@ -47,6 +47,7 @@ from .norms import (
 from .series import (
     ScalarSeries,
     VectorSeries,
+    finite_number,
     monomial_basis,
     ps_exp,
     ps_log,
@@ -130,14 +131,7 @@ def _check_type(value, name: str, annotation: str) -> None:
     if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
         raise ValueError(f"{name} must be of type {kind}, got {value!r}")
     if kind == "float":
-        _finite(value, name)
-
-
-def _finite(value, name: str) -> float:
-    """`value` as a float; NaN, infinities and non-numbers are rejected."""
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+        finite_number(value, name)
 
 
 def _parse_degree_range(text: str) -> list[int]:
@@ -157,15 +151,12 @@ def _family_spec(cfg: RunConfig) -> FamilySpec:
             return FamilySpec.from_json_dict(json.load(fh))
     if cfg.kind is None:
         raise ValueError("a family kind, spec file, or sequence file is required")
-    cov = None
+    doc = {"kind": cfg.kind, "dim": cfg.dim, "N": cfg.max_degree, "k": cfg.laguerre_k}
     if cfg.cov:
-        cov = tuple(tuple(_finite(float(x), "cov") for x in row)
-                    for row in json.loads(cfg.cov))
-    weights = None
+        doc["cov"] = json.loads(cfg.cov)
     if cfg.weights:
-        weights = tuple(_finite(float(w), "weights") for w in cfg.weights.split(","))
-    return FamilySpec(kind=cfg.kind, dim=cfg.dim, max_degree=cfg.max_degree,
-                      cov=cov, k=cfg.laguerre_k, weights=weights)
+        doc["weights"] = [float(w) for w in cfg.weights.split(",")]
+    return FamilySpec.from_json_dict(doc)
 
 
 def _load_series_or_token(path_or_token: str, dim: int, order: int, role: str):

@@ -148,9 +148,6 @@ class PolynomialOnDual:
             self.dim,
             [self.coefficient(n) - other.coefficient(n) for n in range(top + 1)])
 
-    def coeff_norms(self) -> list[float]:
-        return [sym_norm(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"PolynomialOnDual(dim={self.dim}, degree={self.degree})"
 

@@ -28,6 +28,9 @@ import numpy as np
 from .series import (
     ScalarSeries,
     VectorSeries,
+    finite_number,
+    json_field,
+    json_object,
     ps_compose,
     ps_exp,
     vs_inverse,
@@ -137,14 +140,23 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FamilySpec":
+        doc = json_object(doc, "family spec")
         return cls(
-            kind=doc["kind"],
-            dim=int(doc["dim"]),
-            max_degree=int(doc["N"]),
-            cov=tuple(tuple(float(x) for x in row) for row in doc["cov"]) if "cov" in doc else None,
-            k=float(doc.get("k", 0.0)),
-            weights=tuple(float(w) for w in doc["weights"]) if "weights" in doc else None,
+            kind=json_field(doc, "kind", str),
+            dim=json_field(doc, "dim", int),
+            max_degree=json_field(doc, "N", int),
+            cov=tuple(_numbers(row, "cov") for row in json_field(doc, "cov", list))
+            if "cov" in doc else None,
+            k=finite_number(doc.get("k", 0.0), "k"),
+            weights=_numbers(doc["weights"], "weights") if "weights" in doc else None,
         )
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers, as a tuple of floats."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON list of numbers, got {values!r}")
+    return tuple(finite_number(x, name) for x in values)
 
 
 def _embed_1d(series_1d: ScalarSeries, dim: int, coordinate: int) -> ScalarSeries:

@@ -13,20 +13,33 @@ with ||w|| taken on the dual side of the weight.  Every check below reports
 a BoundReport (measured ratio vs. theoretical constant) or a sweep table;
 all sampling is driven by an explicit seedable generator so reports are
 byte-reproducible.
+
+The checks read the built structure: the image of the monomial w^gamma of
+degree n is column gamma of the blocks V[k, n], and along a ray
+p(r u) = sum_n r^n q_n(u) with q_n the degree parts of p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .engine import PolynomialOnDual, ShefferSequence, sheffer_apply
-from .series import VectorSeries, evaluate_terms, graded_exponents, monomial_basis, vs_inverse
+from .engine import PolynomialOnDual, ShefferSequence
+from .series import (
+    VectorSeries,
+    graded_exponents,
+    graded_size,
+    monomial_basis,
+    monomial_values,
+    vs_inverse,
+)
 from .symtensor import (
     SymCoeff,
     WeightedInnerProduct,
+    _weighted,
     apply_slot_map,
     norm_weights,
     sym_dual_norm,
@@ -108,8 +121,16 @@ class BoundReport:
         return row
 
 
+class _Table:
+    """A report with per-degree `rows`, written one CSV line per row."""
+
+    def csv_rows(self) -> list[dict]:
+        return [{k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
+                for row in self.rows]
+
+
 @dataclass
-class SweepReport:
+class SweepReport(_Table):
     """Per-degree ratio table with a growth verdict."""
 
     name: str
@@ -135,13 +156,9 @@ class SweepReport:
             "params": {k: _plain(v) for k, v in sorted(self.params.items())},
         }
 
-    def csv_rows(self) -> list[dict]:
-        return [{k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-                for row in self.rows]
-
 
 @dataclass
-class ProbeReport:
+class ProbeReport(_Table):
     """Geometric envelopes of the graded blocks of a map and its inverse."""
 
     name: str
@@ -165,10 +182,6 @@ class ProbeReport:
             "notes": list(self.notes),
         }
 
-    def csv_rows(self) -> list[dict]:
-        return [{k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-                for row in self.rows]
-
 
 def _plain(v):
     if isinstance(v, (np.floating, float)):
@@ -181,15 +194,43 @@ def _plain(v):
 # -- norms -------------------------------------------------------------------
 
 
+def _degree_scale(n: int, g: GradedNorm) -> float:
+    """(n!)^{1/alpha} 2^{l n}, the weight of degree n in ||.||_{l,alpha}."""
+    try:
+        scale = (math.factorial(n) ** (1.0 / g.alpha)) * (2.0 ** (g.level * n))
+    except OverflowError:
+        scale = math.inf
+    if math.isinf(scale):
+        raise ValueError(f"norm weight (n!)^(1/alpha) 2^(l n) leaves the double range "
+                         f"at level {g.level}, degree {n}")
+    return scale
+
+
 def coeff_norm(p: PolynomialOnDual, g: GradedNorm) -> float:
     """sum_n (n!)^{1/alpha} 2^{l n} ||phi_n|| over the stored degrees."""
     total = 0.0
     for n, phi in enumerate(p.coeffs):
         if phi.is_zero:
             continue
-        total += (math.factorial(n) ** (1.0 / g.alpha)) * (2.0 ** (g.level * n)) \
-            * sym_norm(phi, g.weight)
+        total += _degree_scale(n, g) * sym_norm(phi, g.weight)
     return total
+
+
+def _column_norms(mat: np.ndarray, dim: int, degree: int, weight) -> np.ndarray:
+    """sym_norm of every column of a matrix over monomial_basis(dim, degree),
+    with the terms added in basis order as sym_norm adds them."""
+    m = np.asarray(mat, dtype=complex)
+    if _weighted(dim, weight):
+        m = _slot_matrix(weight, degree) @ m
+    return np.sqrt((norm_weights(dim, degree)[:, None] * np.abs(m) ** 2).sum(axis=0))
+
+
+def _image_norms(seq: ShefferSequence, n: int, g: GradedNorm, low: int = 0) -> np.ndarray:
+    """coeff_norm of the degree-low..n parts of S w^gamma for every gamma of
+    degree n: the degree-k part is column gamma of the block V[k, n].  With
+    low = n this is coeff_norm(w^gamma, g), the top block being the identity."""
+    return sum(_degree_scale(k, g) * _column_norms(seq.blocks[(k, n)], seq.dim, k, g.weight)
+               for k in range(low, n + 1))
 
 
 def _auto_radial_max(degree: int, g: GradedNorm, margin: float = 10.0) -> float:
@@ -211,14 +252,12 @@ def _auto_radial_max(degree: int, g: GradedNorm, margin: float = 10.0) -> float:
 def _directions(dim: int, count: int, weight: WeightedInnerProduct | None,
                 rng: np.random.Generator) -> np.ndarray:
     """Directions of dual-weighted norm 1; the first is a fixed axis."""
-    w = weight if weight is not None else WeightedInnerProduct.identity(dim)
+    slot = (weight or WeightedInnerProduct.identity(dim)).dual_slot_map()
     raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    first = np.zeros((1, dim), dtype=complex)
-    first[0, 0] = 1.0
-    raw = np.concatenate([first, raw], axis=0)
+    raw = np.concatenate([np.eye(1, dim, dtype=complex), raw])
     out = np.empty_like(raw)
     for i, v in enumerate(raw):
-        nrm = w.dual_vector_norm(v)
+        nrm = float(np.linalg.norm(slot @ v))
         out[i] = v / nrm if nrm > 0 else v
     return out
 
@@ -230,7 +269,8 @@ def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
     Maximizes over sampled directions (uniform on the dual-weighted unit
     sphere, plus one fixed axis) times a radial grid reaching past the
     growth peak.  A sampled maximum never exceeds the true supremum, so the
-    returned value is a lower bound by construction.
+    returned value is a lower bound by construction.  Along the ray through
+    u, p(r u) = sum_n r^n q_n(u) with q_n the degree-n part of p.
     """
     if p.is_zero:
         return 0.0
@@ -247,10 +287,10 @@ def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
             raise ValueError("empty radial grid")
     dirs = _directions(p.dim, directions, g.weight, rng)
     damp = np.exp(-(2.0 ** (-g.level)) * radii ** g.alpha)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, p.dim)
-    coeffs = np.concatenate([c.vec for c in trimmed.coeffs])  # p's graded coefficient vector
-    vals = np.abs(evaluate_terms(coeffs, graded_exponents(p.dim, deg), pts))
-    vals = vals.reshape(radii.size, dirs.shape[0])
+    coeffs = np.concatenate([np.asarray(c.vec, dtype=complex) for c in trimmed.coeffs])
+    terms = monomial_values(graded_exponents(p.dim, deg), dirs) * coeffs
+    parts = np.add.reduceat(terms, [graded_size(p.dim, n - 1) for n in range(deg + 1)], axis=1)
+    vals = np.abs(np.power.outer(radii, np.arange(deg + 1)) @ parts.T)
     return float(np.max(vals * damp[:, None]))
 
 
@@ -326,29 +366,6 @@ def embedding_check(p: PolynomialOnDual, alpha: float, level: int,
 # -- graded operator norms ----------------------------------------------------
 
 
-def _power_norm(mat: np.ndarray, iters: int = 200, tol: float = 1e-10) -> float:
-    """Largest singular value by power iteration on M^H M, deterministic start."""
-    m = np.asarray(mat, dtype=complex)
-    if m.size == 0 or not np.any(m):
-        return 0.0
-    gram = m.conj().T @ m
-    n = gram.shape[0]
-    idx = np.arange(1, n + 1, dtype=float)
-    v = np.cos(idx) + 1j * np.sin(0.7 * idx)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - lam_prev) <= tol * lam:
-            break
-        lam_prev = lam
-    return math.sqrt(lam)
-
-
 def graded_block_norms(vec: VectorSeries, weight: WeightedInnerProduct | None = None
                        ) -> list[tuple[int, float]]:
     """Weighted operator norm of each graded block of a vector series.
@@ -359,27 +376,28 @@ def graded_block_norms(vec: VectorSeries, weight: WeightedInnerProduct | None = 
     conjugated by the Cholesky slot isometries otherwise.
     """
     d = vec.dim_in
-    w = weight if weight is not None else WeightedInnerProduct.identity(d)
     out = []
     for k in range(1, vec.max_degree + 1):
-        weights = norm_weights(d, k)
-        raw = np.stack([np.asarray(comp.degree_part(k), dtype=complex)
-                        for comp in vec.components]) * weights
-        if w.is_identity:
-            out.append((k, _power_norm(raw * (1.0 / np.sqrt(weights)))))
-            continue
-        dom = _slot_matrix(d, k, w.primal_slot_map())
-        cod = w.primal_slot_map()
-        mat = cod @ raw @ np.linalg.inv(np.diag(np.sqrt(weights)) @ dom)
-        out.append((k, _power_norm(mat)))
+        scale = np.sqrt(norm_weights(d, k))
+        mat = np.stack([np.asarray(comp.degree_part(k), dtype=complex)
+                        for comp in vec.components]) * scale
+        if _weighted(d, weight):
+            dom = _slot_matrix(weight, k)
+            mat = weight.primal_slot_map() @ mat @ np.linalg.inv(scale[:, None] * dom / scale)
+        out.append((k, float(np.linalg.norm(mat, 2))))
     return out
 
 
-def _slot_matrix(dim: int, degree: int, slot_map: np.ndarray) -> np.ndarray:
-    """Matrix of the slot substitution on the degree-k coefficient space."""
-    units = np.eye(len(monomial_basis(dim, degree)), dtype=complex)
-    return np.stack([apply_slot_map(SymCoeff(dim, degree, e), slot_map).vec for e in units],
-                    axis=1)
+@lru_cache(maxsize=64)
+def _slot_matrix(weight: WeightedInnerProduct, degree: int) -> np.ndarray:
+    """Read-only matrix of the weight's primal slot map on the degree-k
+    coefficient space; cached per weight object."""
+    d = weight.dim
+    units = np.eye(len(monomial_basis(d, degree)), dtype=complex)
+    mat = np.stack([apply_slot_map(SymCoeff(d, degree, e), weight.primal_slot_map()).vec
+                    for e in units], axis=1)
+    mat.flags.writeable = False
+    return mat
 
 
 def _envelope(norms: list[tuple[int, float]]) -> float:
@@ -390,9 +408,16 @@ def _envelope(norms: list[tuple[int, float]]) -> float:
 # -- operator continuity bound ------------------------------------------------
 
 
+def _dyadic(level: int) -> float:
+    """2^level; a ValueError names a level past the double range."""
+    try:
+        return 2.0 ** level
+    except OverflowError:
+        raise ValueError(f"level {level} leaves the double range (2^{level})") from None
+
+
 def operator_bound_check(seq: ShefferSequence, alpha: float, level: int,
                          level_out: int | None = None,
-                         samples: list[PolynomialOnDual] | None = None,
                          weight: WeightedInnerProduct | None = None) -> BoundReport:
     """Continuity constant of the graded transform between two levels.
 
@@ -401,49 +426,35 @@ def operator_bound_check(seq: ShefferSequence, alpha: float, level: int,
 
         ||S p||_{l,alpha} <= ||p||_{l',alpha} / (1 - 2^l c / (2^{l'} - c))
 
-    for alpha <= 1.  The measured ratio is the sup over the sample
-    polynomials (all monomials up to the built order by default).  A level
-    l' violating the rule raises PreconditionError rather than reporting a
-    vacuous constant.
+    for alpha <= 1.  The measured ratio is the sup over all monomials up to
+    the built order, read from the block columns.  A level l' violating the
+    rule raises PreconditionError rather than reporting a vacuous constant.
     """
     if not 0 < alpha <= 1:
         raise ValueError("the continuity bound applies for 0 < alpha <= 1")
-    block_norms = graded_block_norms(seq.a, weight)
-    c5 = max([nrm ** (1.0 / k) for k, nrm in block_norms if nrm > 0], default=0.0)
-    threshold = c5 * (1.0 + 2.0 ** level)
+    c5 = _envelope(graded_block_norms(seq.a, weight))
+    threshold = c5 * (1.0 + _dyadic(level))
     if level_out is None:
         level_out = 0
-        while 2.0 ** level_out <= threshold:
+        while _dyadic(level_out) <= threshold:
             level_out += 1
-    elif 2.0 ** level_out <= threshold:
+    elif _dyadic(level_out) <= threshold:
         raise PreconditionError(
             f"level_out={level_out} too small: need 2^l' > {threshold:.6g} "
             f"for the measured block envelope {c5:.6g}")
-    bound = 1.0 / (1.0 - (2.0 ** level) * c5 / (2.0 ** level_out - c5))
-    if samples is None:
-        samples = [PolynomialOnDual.monomial(seq.dim, b)
-                   for n in range(seq.max_degree + 1)
-                   for b in monomial_basis(seq.dim, n)]
+    bound = 1.0 / (1.0 - _dyadic(level) * c5 / (_dyadic(level_out) - c5))
     g_out = GradedNorm(alpha, level, weight)
     g_in = GradedNorm(alpha, level_out, weight)
-    measured = 0.0
-    per_degree: dict[int, float] = {}
-    for p in samples:
-        den = coeff_norm(p, g_in)
-        if den == 0.0:
-            continue
-        ratio = coeff_norm(sheffer_apply(seq, p), g_out) / den
-        deg = p.trimmed().degree
-        per_degree[deg] = max(per_degree.get(deg, 0.0), ratio)
-        measured = max(measured, ratio)
+    per_degree = [{"degree": n, "max_ratio": float(np.max(
+        _image_norms(seq, n, g_out) / _image_norms(seq, n, g_in, low=n)))}
+        for n in range(seq.max_degree + 1)]
     return BoundReport(
         name="operator_bound_check",
-        measured=measured,
+        measured=max(row["max_ratio"] for row in per_degree),
         bound=bound,
         params={"alpha": alpha, "l": level, "l_prime": level_out,
-                "c5": c5, "samples": len(samples)},
-        per_degree=[{"degree": n, "max_ratio": r}
-                    for n, r in sorted(per_degree.items())],
+                "c5": c5, "samples": graded_size(seq.dim, seq.max_degree)},
+        per_degree=per_degree,
         notes=["block envelope c5 measured over built degrees only; the "
                "bound is honest relative to this truncation"],
     )
@@ -468,17 +479,12 @@ def appell_condition_check(seq: ShefferSequence, beta: float,
         raise ValueError("beta must exceed 1")
     if not seq.is_appell:
         raise ValueError("non-Appell input: the growth condition needs A = identity")
-    rho_parts = []
-    for n in range(seq.max_degree + 1):
-        if seq.rho is None:
-            rho_parts.append(SymCoeff.zero(seq.dim, n))
-        else:
-            rho_parts.append(SymCoeff(seq.dim, n, seq.rho.degree_part(n)))
     rows = []
     fits = [1.0]
     for n in range(1, seq.max_degree + 1):
         tn = sym_dual_norm(seq.theta[n], weight)
-        rn = sym_dual_norm(rho_parts[n], weight)
+        rn = 0.0 if seq.rho is None else sym_dual_norm(
+            SymCoeff(seq.dim, n, seq.rho.degree_part(n)), weight)
         envelope = math.factorial(n) ** (1.0 / beta - 1.0)
         top = max(tn, rn)
         fit = (top / envelope) ** (1.0 / n) if top > 0 else 0.0
@@ -528,9 +534,8 @@ def divergence_sweep(seq: ShefferSequence, alpha: float, degrees,
     g = GradedNorm(alpha, 0, weight)
     rows = []
     for n in degs:
-        p = PolynomialOnDual.monomial(seq.dim, monomial_basis(seq.dim, n)[0])
-        num = coeff_norm(sheffer_apply(seq, p), g)
-        den = coeff_norm(p, g)
+        num = float(_image_norms(seq, n, g)[0])
+        den = float(_image_norms(seq, n, g, low=n)[0])
         rows.append({"degree": n, "ratio": num / den, "norm_num": num, "norm_den": den})
     ref_degree = 5 if 5 in degs else degs[0]
     ref_ratio = next(r["ratio"] for r in rows if r["degree"] == ref_degree)

@@ -173,18 +173,6 @@ def monomial_values(exps: np.ndarray, points) -> np.ndarray:
     return out
 
 
-def evaluate_terms(coeffs: np.ndarray, exps: np.ndarray, points) -> np.ndarray:
-    """sum_beta c_beta x^beta at every row x of `points`, for coefficients
-    over the exponent rows `exps`.  The terms are added one at a time in
-    basis order, so memory stays linear in the number of points."""
-    pts = np.asarray(points, dtype=complex)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for t in np.flatnonzero(coeffs):
-        total = total + _cmul(coeffs[t], monomial_values(exps[t:t + 1], pts)[:, 0])
-    return total
-
-
 class CoeffVector:
     """A read-only coefficient vector `vec` over the graded basis of degree
     <= _order, from graded index `_lo` on: a ScalarSeries holds the whole
@@ -216,9 +204,15 @@ class CoeffVector:
         return dataclasses.replace(self, vec=_scaled(self.vec, scalar))
 
     def evaluate(self, point) -> complex:
-        """Numeric evaluation sum_beta c_beta x^beta at a complex vector."""
-        exps = graded_exponents(self.dim, self._order)[self._lo:]
-        return complex(evaluate_terms(self.vec, exps, [list(point)])[0])
+        """Numeric evaluation sum_beta c_beta x^beta at a complex vector; the
+        terms are added one at a time in basis order."""
+        coeffs = np.asarray(self.vec, dtype=complex)
+        nonzero = np.flatnonzero(coeffs)
+        exps = graded_exponents(self.dim, self._order)[self._lo:][nonzero]
+        total = 0j
+        for term in _cmul(coeffs[nonzero], monomial_values(exps, [list(point)])[0]).tolist():
+            total += term
+        return total
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.dim == other.dim
@@ -351,11 +345,18 @@ def json_object(doc, what: str) -> dict:
 
 
 def json_field(doc: dict, key: str, kind: type):
-    """doc[key], which must be a JSON value of `kind` (int or list)."""
+    """doc[key], which must be a JSON value of `kind` (int, str or list)."""
     value = doc.get(key)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def finite_number(value, name: str) -> float:
+    """`value` as a float; NaN, infinities, bools and non-numbers are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:

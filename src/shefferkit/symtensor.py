@@ -163,23 +163,18 @@ class WeightedInnerProduct:
     def dual_slot_map(self) -> np.ndarray:
         return np.linalg.inv(self._lower).conj()
 
-    def vector_norm(self, x) -> float:
-        return float(np.linalg.norm(self.primal_slot_map() @ np.asarray(x, dtype=complex)))
-
-    def dual_vector_norm(self, x) -> float:
-        return float(np.linalg.norm(self.dual_slot_map() @ np.asarray(x, dtype=complex)))
-
     def __repr__(self) -> str:
         tag = "identity" if self.is_identity else "general"
         return f"WeightedInnerProduct(dim={self.dim}, {tag})"
 
 
-def _resolve_weight(dim: int, weight: WeightedInnerProduct | None) -> WeightedInnerProduct:
+def _weighted(dim: int, weight: WeightedInnerProduct | None) -> bool:
+    """Whether `weight` changes a norm on C^dim; None is the identity."""
     if weight is None:
-        return WeightedInnerProduct.identity(dim)
+        return False
     if weight.dim != dim:
         raise ValueError("weight dimension mismatch")
-    return weight
+    return not weight.is_identity
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +216,7 @@ def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float
     the coefficients once, then applying the identity formula.  Pass
     `dual=True` semantics by supplying the weight built for the dual side.
     """
-    w = _resolve_weight(phi.dim, weight)
-    work = phi if w.is_identity else apply_slot_map(phi, w.primal_slot_map())
+    work = apply_slot_map(phi, weight.primal_slot_map()) if _weighted(phi.dim, weight) else phi
     total = 0.0
     for weight, c in zip(norm_weights(work.dim, work.degree).tolist(),
                          np.asarray(work.vec, dtype=complex).tolist()):
@@ -233,8 +227,7 @@ def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float
 
 def sym_dual_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float:
     """Norm of a dual-side tensor (inverse weight convention)."""
-    w = _resolve_weight(phi.dim, weight)
-    work = phi if w.is_identity else apply_slot_map(phi, w.dual_slot_map())
+    work = apply_slot_map(phi, weight.dual_slot_map()) if _weighted(phi.dim, weight) else phi
     return sym_norm(work, None)
 
 

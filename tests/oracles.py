@@ -3,7 +3,9 @@
 Everything here computes its result by a route that does not touch the
 library's generating-function or graded-transform machinery: explicit
 integer products, three-term recurrences, finite combinatorial sums, dense
-tensor algebra via numpy, and triangular solves.
+tensor algebra via numpy, and triangular solves.  The norm-check oracles
+take the long way round instead: one full graded apply per monomial, and
+one polynomial evaluation per sampled point.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from shefferkit.engine import PolynomialOnDual, ShefferSequence, sheffer_apply
+from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
 from shefferkit.series import ScalarSeries, VectorSeries, monomial_basis
 
 
@@ -167,6 +171,31 @@ def fine_grid_sup_1d(poly_coeffs: list[complex], alpha: float, level: int,
         for c in reversed(poly_coeffs):
             vals = vals * z + c
         best = max(best, float(np.max(np.abs(vals) * np.exp(-(2.0 ** -level) * radii ** alpha))))
+    return best
+
+
+# -- norm-check oracles -----------------------------------------------------------
+
+
+def monomial_ratio(seq: ShefferSequence, gamma: tuple[int, ...], g_out: GradedNorm,
+                   g_in: GradedNorm) -> tuple[float, float]:
+    """coeff_norm(S w^gamma, g_out) and coeff_norm(w^gamma, g_in), with S
+    applied to the monomial by a full graded apply."""
+    p = PolynomialOnDual.monomial(seq.dim, gamma)
+    return coeff_norm(sheffer_apply(seq, p), g_out), coeff_norm(p, g_in)
+
+
+def pointwise_sup(p: PolynomialOnDual, g: GradedNorm, directions: int, points: int,
+                  rng: np.random.Generator) -> float:
+    """max of |p(r u)| exp(-2^-l r^alpha) with one p.evaluate per point, over
+    the directions and radial grid that sup_norm_estimate draws for the same
+    arguments (an int radial grid)."""
+    radii = np.linspace(0.0, _auto_radial_max(p.trimmed().degree, g), points)
+    best = 0.0
+    for u in _directions(p.dim, directions, g.weight, rng):
+        for r in radii:
+            damp = math.exp(-(2.0 ** (-g.level)) * r ** g.alpha)
+            best = max(best, abs(p.evaluate(r * u)) * damp)
     return best
 
 

@@ -323,6 +323,52 @@ class TestExitCodes:
             assert capsys.readouterr().err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--l", 200],
+        ["--l-prime", 2000],
+        ["--max-degree", 24, "--alpha", 0.01],
+    ], ids=["level-200", "level-out-2000", "alpha-0.01"])
+    def test_norm_weight_overflow_is_spec_error(self, tmp_path, capsys, extra):
+        out = tmp_path / "b.json"
+        assert run(["bounds", "--kind", "falling", "--dim", 1, "--max-degree", 6,
+                    *extra, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "double range" in err and ("level" in err or "degree" in err)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,named", [
+        ([], "JSON object"),
+        ({"N": None}, "'N'"),
+        ({"cov": 5}, "'cov'"),
+        ({"cov": [[1.0, 0.0]]}, "covariance"),
+        ({"dim": 1.7}, "'dim'"),
+        ({"dim": True}, "'dim'"),
+        ({"N": "4"}, "'N'"),
+        ({"k": float("nan")}, "k must be a finite number"),
+        ({"kind": 3}, "'kind'"),
+        ({"weights": [True]}, "weights must be a finite number"),
+    ], ids=["list", "N-null", "cov-number", "cov-not-square", "dim-float", "dim-bool",
+            "N-str", "k-nan", "kind-int", "weights-bool"])
+    def test_bad_spec_files(self, tmp_path, capsys, doc, named):
+        if isinstance(doc, dict):
+            doc = {"kind": "laguerre", "dim": 1, "N": 4, **doc}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "seq.json"
+        assert run(["family", "--spec", spec, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cov", ["5", "[1, 2]", '[["1"]]', "[[NaN]]"])
+    def test_bad_cov_flag(self, tmp_path, capsys, cov):
+        out = tmp_path / "seq.json"
+        assert run(["family", "--kind", "hermite", "--dim", 1, "--max-degree", 4,
+                    "--cov", cov, "--out", out]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["family", "--format", "xml", "--out", "x.json"])

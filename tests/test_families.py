@@ -51,6 +51,17 @@ class TestSpecValidation:
         spec2 = FamilySpec("laguerre", 1, 4, k=2.0)
         assert FamilySpec.from_json_dict(spec2.to_json_dict()) == spec2
 
+    def test_json_fields_typed(self):
+        base = {"kind": "hermite", "dim": 2, "N": 4}
+        for bad in ({"dim": 1.7}, {"N": "4"}, {"cov": [[1, 0], [0]]},
+                    {"cov": [["1", 0], [0, 1]]}, {"k": float("inf")}, {"weights": "1,1"}):
+            with pytest.raises(ValueError):
+                FamilySpec.from_json_dict({**base, **bad})
+        with pytest.raises(ValueError):
+            FamilySpec.from_json_dict([base])
+        spec = FamilySpec.from_json_dict({**base, "cov": [[2, 0], [0, 1]], "weights": [1, 2]})
+        assert spec.cov == ((2.0, 0.0), (0.0, 1.0)) and spec.weights == (1.0, 2.0)
+
 
 class TestHermite:
     def test_rho_coefficients_1d(self):

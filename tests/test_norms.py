@@ -20,10 +20,16 @@ from shefferkit.norms import (
     quasi_holo_probe,
     sup_norm_estimate,
 )
-from shefferkit.series import ScalarSeries, VectorSeries
+from shefferkit.series import ScalarSeries, VectorSeries, monomial_basis
 from shefferkit.symtensor import SymCoeff, WeightedInnerProduct
 
-from oracles import fine_grid_sup_1d, random_unit_linear
+from oracles import (
+    fine_grid_sup_1d,
+    monomial_ratio,
+    pointwise_sup,
+    random_series,
+    random_unit_linear,
+)
 
 
 def monomial(n, dim=1):
@@ -282,12 +288,6 @@ class TestQuasiHoloProbe:
 
 
 class TestBlockNorms:
-    def test_power_iteration_matches_svd(self, rng):
-        from shefferkit.norms import _power_norm
-        for _ in range(10):
-            m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-            assert abs(_power_norm(m) - np.linalg.norm(m, 2)) <= 1e-8 * np.linalg.norm(m, 2)
-
     def test_diagonal_weight_changes_envelope(self):
         vec = VectorSeries.from_scalar_1d(log1p_series(6))
         ident = graded_block_norms(vec)
@@ -346,6 +346,70 @@ class TestWeightedNorms:
         w = WeightedInnerProduct.diagonal([2.0])
         rep = operator_bound_check(seq, 1.0, 0, weight=w)
         assert rep.passed
+
+
+# (dim, order, non-identity weight)
+ORACLE_CASES = [
+    (1, 10, [[2.5]]),
+    (2, 6, [[2.0, 0.5], [0.5, 1.0]]),
+    (3, 4, [[2.0, 0.3j, 0.1], [-0.3j, 1.5, 0.2], [0.1, 0.2, 1.0]]),
+]
+ORACLE_IDS = [f"d{d}-{w}" for d, _, _ in ORACLE_CASES for w in ("plain", "weighted")]
+
+
+def oracle_cases():
+    for dim, order, matrix in ORACLE_CASES:
+        for weighted in (False, True):
+            yield dim, order, WeightedInnerProduct(np.array(matrix)) if weighted else None
+
+
+def dense_sequence(dim, order, seed):
+    rng = np.random.default_rng(seed)
+    a = random_unit_linear(dim, order, rng, decay=2.0)
+    return build_sheffer(a, random_series(dim, order, rng, constant=1.0), order)
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestAgainstOracles:
+    """The block-column and ray routes against a graded apply per monomial
+    and an evaluation per point."""
+
+    @pytest.mark.parametrize("dim,order,weight", list(oracle_cases()), ids=ORACLE_IDS)
+    def test_operator_bound_ratios(self, dim, order, weight):
+        seq = dense_sequence(dim, order, 11 + dim)
+        for alpha in (0.5, 1.0):
+            rep = operator_bound_check(seq, alpha, 0, weight=weight)
+            g_out = GradedNorm(alpha, 0, weight)
+            g_in = GradedNorm(alpha, rep.params["l_prime"], weight)
+            assert rep.params["samples"] == sum(
+                len(monomial_basis(dim, n)) for n in range(order + 1))
+            assert [row["degree"] for row in rep.per_degree] == list(range(order + 1))
+            for row in rep.per_degree:
+                want = max(num / den for num, den in (
+                    monomial_ratio(seq, gamma, g_out, g_in)
+                    for gamma in monomial_basis(dim, row["degree"])))
+                assert close(row["max_ratio"], want), (alpha, row)
+
+    @pytest.mark.parametrize("dim,order,weight", list(oracle_cases()), ids=ORACLE_IDS)
+    def test_divergence_rows(self, dim, order, weight):
+        seq = dense_sequence(dim, order, 21 + dim)
+        rep = divergence_sweep(seq, 2.0, range(1, order + 1), weight=weight)
+        g = GradedNorm(2.0, 0, weight)
+        for row in rep.rows:
+            num, den = monomial_ratio(seq, monomial_basis(dim, row["degree"])[0], g, g)
+            assert close(row["norm_num"], num) and close(row["norm_den"], den), row
+            assert close(row["ratio"], num / den), row
+
+    @pytest.mark.parametrize("dim,order,weight", list(oracle_cases()), ids=ORACLE_IDS)
+    def test_sup_estimate(self, dim, order, weight):
+        p = random_polynomial(dim, 5, np.random.default_rng(31 + dim))
+        g = GradedNorm(1.0, 0, weight) if weight is None else GradedNorm(2.0, 1, weight)
+        est = sup_norm_estimate(p, g, directions=4, radial_grid=32,
+                                rng=np.random.default_rng(7))
+        assert close(est, pointwise_sup(p, g, 4, 32, np.random.default_rng(7)))
 
 
 class TestBoundReport:
