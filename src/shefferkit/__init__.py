@@ -9,13 +9,11 @@ from .engine import (
     binomial_check,
     build_basic,
     build_sheffer,
-    evaluate,
     load_sequence,
     random_polynomial,
     save_sequence,
     sheffer_apply,
     sheffer_inverse_apply,
-    theta_kappa,
     umbral_apply_direct,
 )
 from .families import FamilySpec, lift_1d, make_family
@@ -39,6 +37,7 @@ from .series import (
     VectorSeries,
     monomial_basis,
     ps_compose,
+    ps_derivative,
     ps_exp,
     ps_log,
     ps_mul,

@@ -73,13 +73,11 @@ __all__ = [
     "DegreeOverflowError",
     "build_basic",
     "build_sheffer",
-    "theta_kappa",
     "sheffer_apply",
     "sheffer_inverse_apply",
     "umbral_apply_direct",
     "binomial_check",
     "BinomialReport",
-    "evaluate",
     "random_polynomial",
     "save_sequence",
     "load_sequence",
@@ -164,11 +162,6 @@ class PolynomialOnDual:
                 raise ValueError(f"slot {n} holds a degree-{c['degree']} coefficient")
         return cls.from_coeffs(json_field(doc, "dim", int),
                                [SymCoeff.from_json_dict(c) for c in coeffs])
-
-
-def evaluate(p: PolynomialOnDual, omega) -> complex:
-    """Numeric value sum_n sum_beta c_beta w^beta."""
-    return p.evaluate(omega)
 
 
 # -- block construction -----------------------------------------------------
@@ -390,17 +383,6 @@ def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
     return tuple(SymCoeff(series.dim, k, series.degree_part(k)) for k in range(order + 1))
 
 
-def theta_kappa(a: VectorSeries, rho: ScalarSeries | None, order: int
-                ) -> tuple[list[SymCoeff], list[SymCoeff]]:
-    """Reciprocal and direct coefficient tensors of rho along a.
-
-    theta holds the expansion of 1/rho(A(xi)), kappa that of rho(A(xi)),
-    degree by degree; with rho = 1 both collapse to the constant 1.
-    """
-    theta, kappa = _divisor_series(a, rho, order)
-    return list(_degree_tensors(theta, order)), list(_degree_tensors(kappa, order))
-
-
 def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> ShefferSequence:
     """Construct the sequence for generating data (A, rho) up to degree `order`."""
     if not a.unit_linear:
@@ -591,10 +573,11 @@ def _block_bytes(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(mat.astype(complex)).astype("<c16").tobytes()
 
 
-# Sequence files carry this tag.  Untagged files, from before it, load while
-# their blocks match a fresh build bit for bit; a block that does not asks for
-# the file to be regenerated.
-SEQUENCE_FORMAT = 2
+# Sequence files carry this tag.  Files of an earlier format (untagged, from
+# before the block builder changed, or 2, from before the series inverse did)
+# load while their blocks match a fresh build bit for bit; a block that does
+# not asks for the file to be regenerated.
+SEQUENCE_FORMAT = 3
 
 
 def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> dict:
@@ -626,7 +609,7 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     against the recomputation through their checksums."""
     doc = json_object(doc, "sequence")
     version = doc.get("format_version")
-    if version not in (None, SEQUENCE_FORMAT):
+    if version not in (None, 2, SEQUENCE_FORMAT):
         raise ValueError(f"unsupported sequence format_version {version!r}")
     a = VectorSeries.from_json_dict(doc.get("a"))
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
@@ -645,7 +628,7 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
         if version != SEQUENCE_FORMAT:
             raise ValueError(
                 f"block {key} of this sequence file was written by an earlier "
-                f"block builder; regenerate the file with `shefferkit family`")
+                f"version of the builder; regenerate the file with `shefferkit family`")
         raise ValueError(f"block {key} disagrees with recomputation")
     return seq
 

@@ -105,9 +105,10 @@ class FamilySpec:
         if self.kind == "laguerre" and self.k < -1:
             raise ValueError("laguerre parameter must satisfy k >= -1")
         if self.cov is not None:
+            if len(self.cov) != self.dim or any(np.ndim(row) != 1 or len(row) != self.dim
+                                                for row in self.cov):
+                raise ValueError(f"covariance cov must be a square {self.dim} x {self.dim} matrix")
             m = np.asarray(self.cov, dtype=float)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("covariance shape must match dim")
             if not np.allclose(m, m.T, rtol=0, atol=1e-12):
                 raise ValueError("covariance must be symmetric")
             try:

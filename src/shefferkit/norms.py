@@ -286,12 +286,20 @@ def sup_norm_estimate(p: PolynomialOnDual, g: GradedNorm, directions: int = 64,
         if radii.size == 0:
             raise ValueError("empty radial grid")
     dirs = _directions(p.dim, directions, g.weight, rng)
-    damp = np.exp(-(2.0 ** (-g.level)) * radii ** g.alpha)
+    rate = 2.0 ** (-g.level) * radii ** g.alpha
     coeffs = np.concatenate([np.asarray(c.vec, dtype=complex) for c in trimmed.coeffs])
     terms = monomial_values(graded_exponents(p.dim, deg), dirs) * coeffs
     parts = np.add.reduceat(terms, [graded_size(p.dim, n - 1) for n in range(deg + 1)], axis=1)
-    vals = np.abs(np.power.outer(radii, np.arange(deg + 1)) @ parts.T)
-    return float(np.max(vals * damp[:, None]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(np.power.outer(radii, np.arange(deg + 1)) @ parts.T) * np.exp(-rate)[:, None]
+        # where r^n overflows, fold the damping into the powers instead
+        bad = ~np.isfinite(vals).all(axis=1)
+        logs = np.multiply.outer(np.log(radii[bad]), np.arange(deg + 1)) - rate[bad, None]
+        vals[bad] = np.abs(np.exp(logs) @ parts.T)
+        best = float(np.max(vals))
+    if not math.isfinite(best):
+        raise ValueError(f"sup norm estimate at level {g.level} leaves the double range")
+    return best
 
 
 # -- embeddings ---------------------------------------------------------------

@@ -15,7 +15,9 @@ Multiplication has one routine for both kinds of vector: a cached table maps
 a pair of graded indices to the index of the product monomial, and the
 products of the operands' nonzero entries are accumulated into the output.
 This is exact coefficient arithmetic, not an FFT, so structural zeros remain
-exact zeros.
+exact zeros.  Composition is Horner's scheme over these products, and the
+compositional inverse is Newton doubling on top of composition and the
+partial derivative `ps_derivative`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "ps_log",
     "ps_recip",
     "ps_compose",
+    "ps_derivative",
     "vs_compose",
     "vs_inverse",
 ]
@@ -414,6 +417,19 @@ def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     return ScalarSeries(a.dim, n, _accumulate(a.dim, n, ia, va[ia], ib, vb[ib], np.multiply))
 
 
+def ps_derivative(a: ScalarSeries, var: int) -> ScalarSeries:
+    """d/dx_var of the polynomial held by `a`, at the same order (its top
+    degree part is zero); x^e comes from x^(e + e_var) through the product
+    table's column of x_var."""
+    lower = graded_exponents(a.dim, a.max_degree - 1)
+    unit = _index(tuple(int(j == var) for j in range(a.dim)))
+    src = _product_table(a.dim, max(a.max_degree, 1))[:len(lower), unit]
+    factor = lower[:, var] + 1
+    out = np.zeros_like(a.vec)
+    out[:len(src)] = a.vec[src] * (factor.astype(object) if a.exact else factor)
+    return ScalarSeries(a.dim, a.max_degree, out)
+
+
 def _inverse_int(m: int, exact: bool):
     return Fraction(1, m) if exact else 1.0 / m
 
@@ -609,21 +625,33 @@ def vs_compose(outer: VectorSeries, inner: VectorSeries) -> VectorSeries:
 def vs_inverse(a: VectorSeries) -> VectorSeries:
     """Compositional inverse of a unit-linear vector series.
 
-    Solves b(a(x)) = x degree by degree: with degrees < n of b fixed, the
-    degree-n coefficients of b(a(x)) - x depend on the unknown block only
-    through the identity linear part of `a`, so the correction is read off
-    directly.  The inverse is again unit linear and b(a(x)) = a(b(x)) = x
-    up to the shared truncation order.
+    Newton doubling on a(b) = x (Brent & Kung, J. ACM 1978).  With b correct
+    through degree m, the residual r = a(b) - x starts at degree m + 1 and
+
+        b <- b - Db r,   truncated at M = min(2m, N),
+
+    is correct through degree M.  The Jacobian Db of the current b stands in
+    for Da(b)^-1: Da(b) Db = I + Dr, so the two differ from degree m on, and
+    that difference times r starts past degree 2m.  No matrix of series is
+    inverted.  Each step costs one composition at its order; the orders are
+    N, ceil(N/2), .., 1 taken from the bottom, so no step is a near-full
+    composition that gains a single degree.  The inverse is again unit
+    linear and b(a(x)) = a(b(x)) = x up to the shared truncation order.
     """
     if not a.unit_linear:
         raise ValueError("vs_inverse requires a unit linear part (a_1 = identity)")
-    n = a.max_degree
-    dim = a.dim_in
+    n, dim = a.max_degree, a.dim_in
+    orders = [n]
+    while orders[-1] > 1:
+        orders.append((orders[-1] + 1) // 2)
     b = [ScalarSeries.variable(dim, n, i, exact=a.exact).vec.copy() for i in range(dim)]
-    for deg in range(2, n + 1):
-        lo, hi = graded_size(dim, deg - 1), graded_size(dim, deg)
-        b_cur = VectorSeries.from_components(ScalarSeries(dim, deg, v[:hi].copy()) for v in b)
-        comp = vs_compose(b_cur, a.truncate(deg))
-        for v, c in zip(b, comp.components):
-            v[lo:hi] -= c.vec[lo:hi]
+    for order in reversed(orders[:-1]):
+        size = graded_size(dim, order)
+        b_cur = [ScalarSeries(dim, order, v[:size].copy()) for v in b]
+        comp = vs_compose(a.truncate(order), VectorSeries.from_components(b_cur))
+        residual = [c - ScalarSeries.variable(dim, order, j, exact=a.exact)
+                    for j, c in enumerate(comp.components)]
+        for v, bi in zip(b, b_cur):
+            for j, r in enumerate(residual):
+                v[:size] -= ps_mul(ps_derivative(bi, j), r).vec
     return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)

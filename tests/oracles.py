@@ -18,7 +18,7 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import ScalarSeries, VectorSeries, monomial_basis
+from shefferkit.series import ScalarSeries, VectorSeries, graded_size, monomial_basis, vs_compose
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -160,6 +160,23 @@ def naive_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
     return out
 
 
+def inverse_by_degree(a: VectorSeries) -> VectorSeries:
+    """Compositional inverse of a unit-linear `a`, solving b(a(x)) = x
+    degree by degree: with the degrees < n of b fixed, the degree-n part of
+    b(a(x)) - x depends on the unknown part only through the identity linear
+    part of a, so the correction is read off directly."""
+    n = a.max_degree
+    dim = a.dim_in
+    b = [ScalarSeries.variable(dim, n, i, exact=a.exact).vec.copy() for i in range(dim)]
+    for deg in range(2, n + 1):
+        lo, hi = graded_size(dim, deg - 1), graded_size(dim, deg)
+        b_cur = VectorSeries.from_components(ScalarSeries(dim, deg, v[:hi].copy()) for v in b)
+        comp = vs_compose(b_cur, a.truncate(deg))
+        for v, c in zip(b, comp.components):
+            v[lo:hi] -= c.vec[lo:hi]
+    return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)
+
+
 def fine_grid_sup_1d(poly_coeffs: list[complex], alpha: float, level: int,
                      r_max: float, points: int = 40001, phases: int = 64) -> float:
     """Dense-grid evaluation of sup |p(z)| exp(-2^-l |z|^alpha) over C."""
@@ -218,6 +235,28 @@ def random_unit_linear(dim: int, order: int, rng: np.random.Generator,
         terms[tuple(e)] = 1.0 + 0.0j
         comps.append(ScalarSeries.from_terms(dim, order, terms))
     return VectorSeries.from_components(comps)
+
+
+def dense_pair(dim: int, order: int, rng: np.random.Generator
+               ) -> tuple[VectorSeries, ScalarSeries]:
+    """Dense unit-linear A and dense rho with rho(0) = 1, drawn as the
+    benchmark's dense workloads draw them: degree-k coefficients uniform on
+    the complex square [-1, 1]^2, scaled by 2^-(k-1) in A and 2^-k in rho,
+    drawn component by component, degree by degree, in basis order."""
+    def draw(scale: float) -> complex:
+        re, im = rng.uniform(-1.0, 1.0, size=2)
+        return scale * complex(re, im)
+
+    comps = []
+    for i in range(dim):
+        terms = {tuple(int(j == i) for j in range(dim)): 1.0 + 0.0j}
+        for k in range(2, order + 1):
+            terms.update((b, draw(2.0 ** -(k - 1))) for b in monomial_basis(dim, k))
+        comps.append(ScalarSeries.from_terms(dim, order, terms))
+    terms = {(0,) * dim: 1.0 + 0.0j}
+    for k in range(1, order + 1):
+        terms.update((b, draw(2.0 ** -k)) for b in monomial_basis(dim, k))
+    return VectorSeries.from_components(comps), ScalarSeries.from_terms(dim, order, terms)
 
 
 def random_series(dim: int, order: int, rng: np.random.Generator,

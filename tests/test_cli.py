@@ -369,6 +369,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    def test_ragged_cov(self, tmp_path, capsys, source):
+        cov = [[1], [1, 2]]
+        if source == "flag":
+            args = ["--kind", "hermite", "--dim", 2, "--max-degree", 4, "--cov", json.dumps(cov)]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"kind": "hermite", "dim": 2, "N": 4, "cov": cov}),
+                            encoding="utf-8")
+            args = ["--spec", spec]
+        out = tmp_path / "seq.json"
+        assert run(["family", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "cov must be a square 2 x 2 matrix" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["family", "--format", "xml", "--out", "x.json"])

@@ -16,7 +16,6 @@ from shefferkit.engine import (
     binomial_check,
     build_basic,
     build_sheffer,
-    evaluate,
     load_sequence,
     random_polynomial,
     save_sequence,
@@ -24,13 +23,13 @@ from shefferkit.engine import (
     sequence_to_json_dict,
     sheffer_apply,
     sheffer_inverse_apply,
-    theta_kappa,
     umbral_apply_direct,
 )
 from shefferkit.families import FamilySpec, log1p_series, make_family, neg_log1m_series
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    graded_size,
     monomial_basis,
     ps_exp,
     ps_mul,
@@ -40,6 +39,7 @@ from shefferkit.symtensor import SymCoeff, sym_contract, sym_norm, sym_product
 from conftest import coeff_column_1d, poly_abs_diff, poly_scale, random_polynomial_sparse
 from oracles import (
     charlier_coeffs,
+    dense_pair,
     falling_coeffs,
     hermite_coeffs,
     laguerre_coeffs,
@@ -171,11 +171,27 @@ class TestBuild:
                 want = np.eye(len(monomial_basis(d, k)), dtype=int) if k == n else 0
                 assert np.all(prod == want)
 
+    @pytest.mark.parametrize("dim, order", [(1, 128), (4, 5)])
+    def test_dense_float_forward_times_inverse_is_identity(self, dim, order):
+        # the dense data of the benchmark's dense-deep (d=1, N=128) and
+        # dense-wide (d=4, N=5) cases; over the whole graded matrices,
+        # |V W - I| <= 1e-13 |V| |W| entry by entry
+        a, rho = dense_pair(dim, order, np.random.default_rng([dim, order]))
+        seq = build_sheffer(a, rho, order)
+        size = graded_size(dim, order)
+        fwd, inv = np.zeros((2, size, size), dtype=complex)
+        for mat, blocks in ((fwd, seq.blocks), (inv, seq.inverse_blocks)):
+            for (k, n), block in blocks.items():
+                row, col = graded_size(dim, k - 1), graded_size(dim, n - 1)
+                mat[row:row + block.shape[0], col:col + block.shape[1]] = block
+        err = np.abs(fwd @ inv - np.eye(size))
+        assert np.all(err <= 1e-13 * (np.abs(fwd) @ np.abs(inv)))
+
 
 class TestThetaKappa:
     def test_trivial_rho(self):
-        a = VectorSeries.identity(1, 5, exact=True)
-        thetas, kappas = theta_kappa(a, None, 5)
+        seq = build_basic(VectorSeries.identity(1, 5, exact=True), 5)
+        thetas, kappas = seq.theta, seq.kappa
         assert thetas[0].coefficient((0,)) == 1
         assert all(t.is_zero for t in thetas[1:])
         assert all(k.is_zero for k in kappas[1:])
@@ -421,18 +437,18 @@ class TestGeneratingFunction:
 class TestEvaluate:
     def test_constant(self):
         p = PolynomialOnDual.from_coeffs(1, [SymCoeff.scalar(1, 1.0)])
-        assert evaluate(p, [123.0]) == 1.0
+        assert p.evaluate([123.0]) == 1.0
 
     def test_square(self):
-        assert evaluate(PolynomialOnDual.monomial(1, (2,)), [3.0]) == 9.0
+        assert PolynomialOnDual.monomial(1, (2,)).evaluate([3.0]) == 9.0
 
     def test_falling_value(self):
         p = sheffer_apply(falling_seq(3, exact=False), monomial_1d(3, exact=False))
-        assert abs(evaluate(p, [5.0]) - 60.0) <= 1e-10
+        assert abs(p.evaluate([5.0]) - 60.0) <= 1e-10
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate(PolynomialOnDual.monomial(2, (1, 0)), [1.0])
+            PolynomialOnDual.monomial(2, (1, 0)).evaluate([1.0])
 
 
 class TestSequenceFiles:
@@ -485,6 +501,22 @@ class TestSequenceFiles:
             doc["format_version"] = 99
             with pytest.raises(ValueError, match="unsupported sequence format_version 99"):
                 sequence_from_json_dict(doc)
+
+    def test_version_2_files(self):
+        # version 2 files come from before the Newton series inverse: they
+        # load while their blocks match a fresh build bit for bit, and a
+        # block that differs in the last bit asks for regeneration
+        seq = build_sheffer(*make_family(FamilySpec("charlier", 1, 16)), 16)
+        doc = sequence_to_json_dict(seq)
+        doc["format_version"] = 2
+        assert sequence_from_json_dict(doc).max_degree == 16
+        entry = doc["blocks"]["2,16"]
+        raw = bytearray(base64.b64decode(entry["data"]))
+        raw[0] ^= 1
+        entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+        with pytest.raises(ValueError, match="regenerate the file with `shefferkit family`"):
+            sequence_from_json_dict(doc)
 
     def test_polynomial_json_roundtrip(self, rng):
         p = random_polynomial_sparse(2, 4, rng)

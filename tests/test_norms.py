@@ -119,6 +119,27 @@ class TestSupEstimate:
         with pytest.raises(ValueError):
             sup_norm_estimate(monomial(1), GradedNorm(1.0, 0), radial_grid=[])
 
+    def test_out_of_double_range_rejected(self):
+        # at level 400 the grid reaches ~1e120 and the sup of |z|^3 times the
+        # damping is ~1e361: one error naming the level, never a NaN
+        p = PolynomialOnDual.monomial(1, (3,))
+        assert math.isfinite(sup_norm_estimate(p, GradedNorm(1.0, 330)))
+        with pytest.raises(ValueError, match="at level 400 leaves the double range"):
+            sup_norm_estimate(p, GradedNorm(1.0, 400))
+        with pytest.raises(ValueError, match="at level 400 leaves the double range"):
+            embedding_check(p, 1.0, 400)
+
+    def test_overflowing_powers_are_damped_first(self):
+        # r^120 overflows from r ~ 368 on and exp(-r) underflows past 745,
+        # while sup r^120 exp(-r) = (120/e)^120 ~ 1.2e197 is in range
+        p = PolynomialOnDual.monomial(1, (120,))
+        peak = (120 / math.e) ** 120
+        est = sup_norm_estimate(p, GradedNorm(1.0, 0), directions=1,
+                                radial_grid=np.linspace(0.0, 2000.0, 8001))
+        assert est == pytest.approx(peak, rel=1e-12)
+        auto = sup_norm_estimate(p, GradedNorm(1.0, 0))
+        assert 0.99 * peak <= auto <= peak * (1 + 1e-12)
+
 
 class TestEmbedding:
     def test_sup_below_forward_bound(self, rng):

@@ -10,6 +10,7 @@ from shefferkit.series import (
     VectorSeries,
     monomial_basis,
     ps_compose,
+    ps_derivative,
     ps_exp,
     ps_log,
     ps_mul,
@@ -21,6 +22,7 @@ from shefferkit.series import (
 from conftest import series_diff, vector_diff
 from oracles import (
     dict_product,
+    inverse_by_degree,
     naive_compose,
     random_series,
     random_unit_linear,
@@ -259,6 +261,40 @@ class TestInverse:
             ident = VectorSeries.identity(dim, order)
             assert vector_diff(vs_compose(b, a), ident) <= 1e-12
             assert vector_diff(vs_compose(a, b), ident) <= 1e-12
+
+
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 7), (3, 5), (4, 4)])
+    def test_exact_matches_degree_by_degree_oracle(self, rng, dim, order):
+        comps = []
+        for i in range(dim):
+            terms = {tuple(int(j == i) for j in range(dim)): 1}
+            for deg in range(2, order + 1):
+                for b in monomial_basis(dim, deg):
+                    terms[b] = F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+            comps.append(ScalarSeries.from_terms(dim, order, terms))
+        a = VectorSeries.from_components(comps)
+        b = vs_inverse(a)
+        assert b.exact and b == inverse_by_degree(a)
+
+
+class TestDerivative:
+    def test_hand_expansion(self):
+        # f = 3 + x y + 2 x^2 y - y^3 at order 3
+        f = ScalarSeries.from_terms(2, 3, {(0, 0): 3, (1, 1): 1, (2, 1): 2, (0, 3): -1})
+        dx, dy = ps_derivative(f, 0), ps_derivative(f, 1)
+        assert dx.exact and dx.max_degree == 3
+        assert dx.terms == {(0, 1): 1, (1, 1): 4}
+        assert dy.terms == {(1, 0): 1, (0, 2): -3, (2, 0): 2}
+
+    def test_dense_float(self, rng):
+        f = random_series(3, 5, rng)
+        for var in range(3):
+            d = ps_derivative(f, var)
+            assert not d.exact and not d.degree_part(5).any()
+            for exps, c in f.terms.items():
+                if exps[var] > 0:
+                    down = tuple(e - (j == var) for j, e in enumerate(exps))
+                    assert d.coefficient(down) == exps[var] * c
 
 
 class TestSerialization:
