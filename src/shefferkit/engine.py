@@ -27,12 +27,13 @@ are exact products of ones, and their weight gamma!/beta! divides a float
 by itself.
 
 The inverse transform is the graded transform of the same shape built from
-the compositional inverse B of A and the reciprocal coefficient series: it
-expands exp[<w, xi>] in the S-basis via
+the compositional inverse B of A: substituting xi = B(zeta) in G gives
 
-    exp[<w, xi>] = kappa(B(xi)) * sum_n (1/n!) <S_n(w), B(xi)^{(x)n}>,
+    exp[<w, zeta>] = rho(zeta) * sum_n (1/n!) <S_n(w), B(zeta)^{(x)n}>,
 
-so its blocks come from exp[<w, B(xi)>] * kappa(B(xi)).
+since A(B(zeta)) = zeta, so its blocks come from exp[<w, B(xi)>] * rho(xi).
+The factor is rho itself: kappa(B(xi)) with kappa = rho(A) equals rho(xi)
+up to the truncation order, and needs no composition.
 """
 
 from __future__ import annotations
@@ -299,9 +300,10 @@ class ShefferSequence:
     @property
     def inverse_blocks(self) -> dict[tuple[int, int], np.ndarray]:
         if self._inverse_blocks is None:
-            b = self.inverse_a
+            factor = (self.kappa_series if self.rho is None  # both are 1
+                      else self.rho.truncate(self.max_degree))
             self._inverse_blocks = _transfer_blocks(
-                b, ps_compose(self.kappa_series, b), self.max_degree, self.exact)
+                self.inverse_a, factor, self.max_degree, self.exact)
         return self._inverse_blocks
 
     def apply(self, p: PolynomialOnDual) -> PolynomialOnDual:
@@ -367,18 +369,6 @@ def _graded_apply(seq: ShefferSequence, blocks: dict, p: PolynomialOnDual) -> Po
     return PolynomialOnDual.from_coeffs(seq.dim, out).trimmed()
 
 
-def _divisor_series(a: VectorSeries, rho: ScalarSeries | None, order: int
-                    ) -> tuple[ScalarSeries, ScalarSeries]:
-    """(1/rho(A(xi)), rho(A(xi))) as truncated series; both are 1 without rho."""
-    if rho is None:
-        one = ScalarSeries.one(a.dim_in, order, exact=a.exact)
-        return one, one
-    if rho.constant_term != 1:
-        raise ValueError("rho must have constant term 1")
-    composed = ps_compose(rho.truncate(min(rho.max_degree, order)), a.truncate(order))
-    return ps_recip(composed), composed
-
-
 def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
     return tuple(SymCoeff(series.dim, k, series.degree_part(k)) for k in range(order + 1))
 
@@ -398,7 +388,9 @@ def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> Shef
         raise ValueError("rho must have constant term 1")
     if rho is not None and not np.any(rho.vec[1:]):
         rho = None  # a constant divisor is the binomial-type case
-    theta_series, kappa_series = _divisor_series(a_trunc, rho, order)
+    kappa_series = (ScalarSeries.one(d, order, exact=exact) if rho is None
+                    else ps_compose(rho.truncate(order), a_trunc))
+    theta_series = ps_recip(kappa_series)
     blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
     seq = ShefferSequence(d, order, blocks, a_trunc, rho,
                           theta_series, kappa_series, exact)
@@ -573,11 +565,11 @@ def _block_bytes(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(mat.astype(complex)).astype("<c16").tobytes()
 
 
-# Sequence files carry this tag.  Files of an earlier format (untagged, from
-# before the block builder changed, or 2, from before the series inverse did)
-# load while their blocks match a fresh build bit for bit; a block that does
-# not asks for the file to be regenerated.
-SEQUENCE_FORMAT = 3
+# Sequence files carry this tag.  Files of an earlier format (untagged, or
+# 2 and up, each written before a builder change that can move the last bits
+# of float blocks) load while their blocks match a fresh build bit for bit; a
+# block that does not asks for the file to be regenerated.
+SEQUENCE_FORMAT = 4
 
 
 def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> dict:
@@ -609,20 +601,23 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     against the recomputation through their checksums."""
     doc = json_object(doc, "sequence")
     version = doc.get("format_version")
-    if version not in (None, 2, SEQUENCE_FORMAT):
+    if version is not None and version not in range(2, SEQUENCE_FORMAT + 1):
         raise ValueError(f"unsupported sequence format_version {version!r}")
     a = VectorSeries.from_json_dict(doc.get("a"))
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
     seq = build_sheffer(a, rho, json_field(doc, "max_degree", int))
+    keys = {f"{k},{n}": (k, n) for k, n in seq.blocks}
     for key, entry in json_object(doc.get("blocks") or {}, "blocks").items():
-        k, n = (int(v) for v in key.split(","))
+        if key not in keys:
+            raise ValueError(f"block key {key!r} must be 'k,n' with integers "
+                             f"0 <= k <= n <= {seq.max_degree}")
         entry = json_object(entry, "block")
         if not all(isinstance(entry.get(field), str) for field in ("data", "sha256")):
             raise ValueError(f"block {key} needs string data and sha256 fields")
         raw = base64.b64decode(entry["data"])
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise ValueError(f"corrupt block {key}: stored checksum mismatch")
-        recomputed = _block_bytes(seq.blocks[(k, n)])
+        recomputed = _block_bytes(seq.blocks[keys[key]])
         if hashlib.sha256(recomputed).hexdigest() == entry["sha256"]:
             continue
         if version != SEQUENCE_FORMAT:

@@ -15,9 +15,11 @@ Multiplication has one routine for both kinds of vector: a cached table maps
 a pair of graded indices to the index of the product monomial, and the
 products of the operands' nonzero entries are accumulated into the output.
 This is exact coefficient arithmetic, not an FFT, so structural zeros remain
-exact zeros.  Composition is Horner's scheme over these products, and the
-compositional inverse is Newton doubling on top of composition and the
-partial derivative `ps_derivative`.
+exact zeros.  exp, log and the reciprocal are degree recurrences in the
+Euler operator E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) over the same
+table, each degree part computed once from the lower ones.  Composition is
+Horner's scheme over these products, and the compositional inverse is Newton
+doubling on top of composition and the partial derivative `ps_derivative`.
 """
 
 from __future__ import annotations
@@ -430,70 +432,62 @@ def ps_derivative(a: ScalarSeries, var: int) -> ScalarSeries:
     return ScalarSeries(a.dim, a.max_degree, out)
 
 
-def _inverse_int(m: int, exact: bool):
-    return Fraction(1, m) if exact else 1.0 / m
+def _degrees(a: ScalarSeries) -> np.ndarray:
+    """Degree of each entry of `a`, by which the Euler operator
+    E = sum_i x_i d/dx_i scales it; Fractions for an exact series."""
+    deg = graded_exponents(a.dim, a.max_degree).sum(axis=1)
+    return np.array([Fraction(int(k)) for k in deg], dtype=object) if a.exact else deg
+
+
+def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
+    """f with f_0 = 1 and f_n = sum_{k=1..n} c_k f_{n-k} over degree parts,
+    divided by n when `divide`.  At degree n the nonzero entries of c of
+    degree 1..n meet the entries of f below degree n, and only the products
+    that land in degree n are kept."""
+    table, deg = _product_table(c.dim, c.max_degree), _degrees(c)
+    ic = np.flatnonzero(c.vec[1:]) + 1
+    f = np.zeros_like(c.vec)
+    f[0] = 1
+    for n in range(1, c.max_degree + 1):
+        lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
+        ia, ib = ic[ic < hi], np.flatnonzero(f[:lo])
+        targets = table[np.ix_(ia, ib)]
+        rows, cols = np.nonzero((targets >= lo) & (targets < hi))
+        np.add.at(f, targets[rows, cols], c.vec[ia[rows]] * f[ib[cols]])
+        if divide:
+            f[lo:hi] /= deg[lo]
+    return ScalarSeries(c.dim, c.max_degree, f)
 
 
 def ps_exp(a: ScalarSeries) -> ScalarSeries:
-    """exp of a series with zero constant term, sum_{m<=N} a^m / m!."""
+    """exp of a series with zero constant term: f = exp(a) solves
+    E f = f E a, so n f_n = sum_{k=1..n} (k a_k) f_{n-k} and f_0 = 1."""
     if a.constant_term != 0:
         raise ValueError("ps_exp requires a zero constant term")
-    exact = a.exact
-    n = a.max_degree
-    acc = ScalarSeries.one(a.dim, n, exact=exact)
-    term = acc
-    for m in range(1, n + 1):
-        term = ps_mul(term, a).scale(_inverse_int(m, exact))
-        if term.is_zero:
-            break
-        acc = acc + term
-    return acc
+    euler = ScalarSeries(a.dim, a.max_degree, a.vec * _degrees(a))
+    return _degree_recurrence(euler, divide=True)
 
 
 def ps_log(a: ScalarSeries) -> ScalarSeries:
-    """log of a series with constant term exactly 1."""
+    """log of a series with constant term exactly 1: g = log(a) has
+    E g = E a / a and g_0 = 0, so g_n = [E a * (1/a)]_n / n."""
     if a.constant_term != 1:
         raise ValueError("ps_log requires constant term 1")
-    exact = a.exact
-    n = a.max_degree
-    x = a - ScalarSeries.one(a.dim, n, exact=exact)
-    acc = ScalarSeries.zero(a.dim, n)
-    term = ScalarSeries.one(a.dim, n, exact=exact)
-    for m in range(1, n + 1):
-        term = ps_mul(term, x)
-        if term.is_zero:
-            break
-        sign = 1 if m % 2 == 1 else -1
-        acc = acc + term.scale(sign * _inverse_int(m, exact))
-    return acc
+    deg = _degrees(a)
+    g = ps_mul(ScalarSeries(a.dim, a.max_degree, a.vec * deg), ps_recip(a)).vec.copy()
+    g[1:] /= deg[1:]
+    return ScalarSeries(a.dim, a.max_degree, g)
 
 
 def ps_recip(a: ScalarSeries) -> ScalarSeries:
-    """Reciprocal of a series with constant term exactly 1 (geometric expansion).
-
-    A single Newton correction r <- r + r (1 - a r) follows the geometric
-    sum in float mode; it is an identity at this truncation order, but it
-    collapses the error accumulated across the N partial products down to
-    that of one residual evaluation.
-    """
+    """Reciprocal of a series with constant term exactly 1: (a f)_n = 0 for
+    n > 0, so f_n = -sum_{k=1..n} a_k f_{n-k} and f_0 = 1.  This is forward
+    substitution; each coefficient is one sum over final lower-degree ones,
+    with the error of one inner product, which a Newton step
+    r + r (1 - a r) would not reduce."""
     if a.constant_term != 1:
         raise ValueError("ps_recip requires constant term 1")
-    exact = a.exact
-    n = a.max_degree
-    one = ScalarSeries.one(a.dim, n, exact=exact)
-    negx = one - a
-    acc = one
-    term = one
-    for _ in range(1, n + 1):
-        term = ps_mul(term, negx)
-        if term.is_zero:
-            break
-        acc = acc + term
-    if not exact:
-        residual = one - ps_mul(a, acc)
-        if not residual.is_zero:
-            acc = acc + ps_mul(acc, residual)
-    return acc
+    return _degree_recurrence(-a, divide=False)
 
 
 def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:

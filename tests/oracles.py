@@ -18,7 +18,8 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import ScalarSeries, VectorSeries, graded_size, monomial_basis, vs_compose
+from shefferkit.series import (ScalarSeries, VectorSeries, graded_size, monomial_basis, ps_mul,
+                               vs_compose)
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -131,6 +132,40 @@ def recip_triangular_1d(coeffs: list[complex], order: int) -> list[complex]:
             s += aj * r[n - j]
         r[n] = -s
     return r
+
+
+def taylor_exp(a: ScalarSeries) -> ScalarSeries:
+    """exp(a) for a zero constant term as the Taylor sum sum_{m<=N} a^m / m!,
+    one full product per power."""
+    n = a.max_degree
+    acc = term = ScalarSeries.one(a.dim, n, exact=a.exact)
+    for m in range(1, n + 1):
+        term = ps_mul(term, a).scale(Fraction(1, m))
+        acc = acc + term
+    return acc
+
+
+def mercator_log(a: ScalarSeries) -> ScalarSeries:
+    """log(a) for a unit constant term as the Mercator sum
+    sum_{m<=N} (-1)^(m+1) (a - 1)^m / m."""
+    n = a.max_degree
+    x = a - ScalarSeries.one(a.dim, n, exact=a.exact)
+    acc, term = ScalarSeries.zero(a.dim, n), ScalarSeries.one(a.dim, n, exact=a.exact)
+    for m in range(1, n + 1):
+        term = ps_mul(term, x)
+        acc = acc + term.scale(Fraction(1 if m % 2 else -1, m))
+    return acc
+
+
+def geometric_recip(a: ScalarSeries) -> ScalarSeries:
+    """1/a for a unit constant term as the geometric sum sum_{m<=N} (1 - a)^m."""
+    n = a.max_degree
+    one = ScalarSeries.one(a.dim, n, exact=a.exact)
+    acc = term = one
+    for _ in range(1, n + 1):
+        term = ps_mul(term, one - a)
+        acc = acc + term
+    return acc
 
 
 def dict_product(a: ScalarSeries, b: ScalarSeries) -> dict[tuple[int, ...], object]:

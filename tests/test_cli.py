@@ -323,6 +323,21 @@ class TestExitCodes:
             assert capsys.readouterr().err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["99,99", "2,0", "-1,0", "a,b", "1,2,3"])
+    def test_bad_block_keys(self, tmp_path, capsys, key):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])
+        seq_doc = json.loads(seq_file.read_text(encoding="utf-8"))
+        seq_doc["blocks"] = {key: seq_doc["blocks"]["1,3"]}
+        seq_file.write_text(json.dumps(seq_doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert run(["expand", "--sequence", seq_file,
+                    "--input", monomial_file(tmp_path, "z2.json", 1, (2,)), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"block key '{key}' must be 'k,n'" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ["--l", 200],
         ["--l-prime", 2000],

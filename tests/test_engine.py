@@ -225,6 +225,18 @@ class TestThetaKappa:
         assert all(abs(complex(c)) <= 1e-12
                    for exps, c in prod.terms.items() if sum(exps) > 0)
 
+    def test_hermite_float_theta_against_exact(self):
+        # theta = exp(-z^2/2) as the reciprocal of the rounded exp(z^2/2):
+        # at N = 64 every nonzero coefficient keeps its leading digit (the
+        # remaining loss is the conditioning of the reciprocal of rounded
+        # data), and the odd ones stay exactly zero
+        want = hermite_seq(64).theta_series.vec
+        got = hermite_seq(64, exact=False).theta_series.vec
+        nonzero = want != 0
+        assert not np.any(got[~nonzero])
+        exact = want[nonzero].astype(complex)
+        assert np.all(np.abs(got[nonzero] - exact) <= 0.1 * np.abs(exact))
+
 
 class TestApply:
     def test_identity_sequence(self, rng):
@@ -451,6 +463,15 @@ class TestEvaluate:
             PolynomialOnDual.monomial(2, (1, 0)).evaluate([1.0])
 
 
+def flip_last_bit(entry: dict) -> None:
+    """Flip the lowest mantissa bit of the first entry of a stored block,
+    keeping its checksum consistent."""
+    raw = bytearray(base64.b64decode(entry["data"]))
+    raw[0] ^= 1
+    entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+    entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+
+
 class TestSequenceFiles:
     def test_save_load_roundtrip(self, tmp_path):
         a, rho = make_family(FamilySpec("charlier", 1, 6))
@@ -488,11 +509,7 @@ class TestSequenceFiles:
             del doc["format_version"]
             assert sequence_from_json_dict(doc).max_degree == 4
             doc["format_version"] = SEQUENCE_FORMAT
-            entry = doc["blocks"]["1,3"]
-            raw = bytearray(base64.b64decode(entry["data"]))
-            raw[0] ^= 1  # lowest mantissa bit of the first entry
-            entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
-            entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+            flip_last_bit(doc["blocks"]["1,3"])
             with pytest.raises(ValueError, match="disagrees with recomputation"):
                 sequence_from_json_dict(doc)
             del doc["format_version"]
@@ -510,11 +527,21 @@ class TestSequenceFiles:
         doc = sequence_to_json_dict(seq)
         doc["format_version"] = 2
         assert sequence_from_json_dict(doc).max_degree == 16
-        entry = doc["blocks"]["2,16"]
-        raw = bytearray(base64.b64decode(entry["data"]))
-        raw[0] ^= 1
-        entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
-        entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
+        flip_last_bit(doc["blocks"]["2,16"])
+        with pytest.raises(ValueError, match="regenerate the file with `shefferkit family`"):
+            sequence_from_json_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["hermite", "charlier", "laguerre"])
+    def test_version_3_files(self, kind):
+        # version 3 files come from before the degree recurrences of the
+        # series layer, which moved the float theta of every non-constant
+        # rho: they load while their blocks match a fresh build bit for bit,
+        # and a block that differs in the last bit asks for regeneration
+        seq = build_sheffer(*make_family(FamilySpec(kind, 2, 10)), 10)
+        doc = sequence_to_json_dict(seq)
+        doc["format_version"] = 3
+        assert sequence_from_json_dict(doc).max_degree == 10
+        flip_last_bit(doc["blocks"]["0,10"])
         with pytest.raises(ValueError, match="regenerate the file with `shefferkit family`"):
             sequence_from_json_dict(doc)
 

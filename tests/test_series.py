@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from shefferkit.series import (
@@ -22,11 +23,14 @@ from shefferkit.series import (
 from conftest import series_diff, vector_diff
 from oracles import (
     dict_product,
+    geometric_recip,
     inverse_by_degree,
+    mercator_log,
     naive_compose,
     random_series,
     random_unit_linear,
     recip_triangular_1d,
+    taylor_exp,
 )
 
 
@@ -175,6 +179,56 @@ class TestRecip:
                 [complex(a.coefficient((k,))) for k in range(9)], 8)
             got = [complex(r.coefficient((k,))) for k in range(9)]
             assert max(abs(x - y) for x, y in zip(got, oracle)) <= 1e-12
+
+
+def signed_rational_series(dim, order, rng, constant):
+    """Dense exact series with the given constant term; the degree-k
+    coefficients are +-1..5 / (3 2^k): non-dyadic, so rounding them to
+    double is not exact, and about 2^-k in size."""
+    numerators = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
+    terms = {b: F(int(rng.choice(numerators)), 3 * 2 ** k)
+             for k in range(1, order + 1) for b in monomial_basis(dim, k)}
+    terms[(0,) * dim] = constant
+    return ScalarSeries.from_terms(dim, order, terms)
+
+
+class TestRecurrences:
+    # exp, log and the reciprocal against the Taylor, Mercator and geometric
+    # sums; in Fraction mode both routes are exact
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 7), (3, 5), (4, 4)])
+    def test_exact_match_power_sum_oracles(self, rng, dim, order):
+        def rational(deg):
+            return F(int(rng.integers(-9, 10)), int(rng.integers(1, 9)) * 2 ** deg)
+
+        dense = ScalarSeries.from_terms(dim, order, {
+            b: rational(k) for k in range(1, order + 1) for b in monomial_basis(dim, k)})
+        hermite = ScalarSeries.from_terms(dim, order, {
+            b: F(1, 2) for b in monomial_basis(dim, 2) if max(b) == 2})
+        embedded = ScalarSeries.from_terms(dim, order, {
+            (0,) * (dim - 1) + (k,): rational(k) for k in range(1, order + 1)})
+        unit = ScalarSeries.one(dim, order, exact=True)
+        for a in (dense, hermite, embedded):
+            assert ps_exp(a) == taylor_exp(a)
+            assert ps_log(unit + a) == mercator_log(unit + a)
+            assert ps_recip(unit + a) == geometric_recip(unit + a)
+
+    @pytest.mark.parametrize("dim, order", [(1, 64), (4, 5)])
+    def test_float_matches_exact(self, dim, order):
+        # coefficient by coefficient, |float - exact| <= 1e-13 m, where m is
+        # the same operation applied to the coefficient magnitudes: it bounds
+        # every term of the sums the recurrence forms, while signed data can
+        # cancel a coefficient far below them
+        rng = np.random.default_rng([dim, order])
+        unit = ScalarSeries.one(dim, order, exact=True)
+        for _ in range(3):
+            s = signed_rational_series(dim, order, rng, F(0))
+            m = ScalarSeries(dim, order, np.abs(s.vec))
+            for op, a, majorant in ((ps_exp, s, ps_exp(m)),
+                                    (ps_log, unit + s, -ps_log(unit - m)),
+                                    (ps_recip, unit + s, ps_recip(unit - m))):
+                want = op(a).vec.astype(complex)
+                got = op(ScalarSeries(dim, order, a.vec.astype(complex))).vec
+                assert np.all(np.abs(got - want) <= 1e-13 * majorant.vec.astype(float)), op
 
 
 class TestCompose:
