@@ -96,7 +96,6 @@ class RunConfig:
     l_prime: int | None = None
     degrees: str = "1:12"
     trials: int = 20
-    directions: int = 64
     no_blocks: bool = False
 
     @classmethod
@@ -185,32 +184,23 @@ def _resolve_sequence(cfg: RunConfig) -> ShefferSequence:
     return build_sheffer(a, rho, spec.max_degree)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _emit_report(cfg: RunConfig, doc_json: dict, fieldnames: list[str],
+def _emit_report(cfg: RunConfig, doc: dict, fieldnames: list[str],
                  rows: list[dict]) -> None:
+    """Write `doc` as JSON (sorted keys, indent 2), or `rows` as CSV under a
+    header row with every float written as its repr."""
     if not cfg.out:
         raise ValueError("--out is required for report commands")
     if cfg.format == "csv":
-        _write_text(cfg.out, _csv_text(fieldnames, rows))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({k: repr(float(v)) if isinstance(v, float) else v
+                          for k, v in row.items()} for row in rows)
+        text = buf.getvalue()
     else:
-        _write_text(cfg.out, _json_text(doc_json))
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -240,8 +230,7 @@ def _poly_rows(p: PolynomialOnDual) -> list[dict]:
     for n, c in enumerate(p.coeffs):
         for exps, v in c.coeffs.items():
             rows.append({"degree": n, "exp": " ".join(str(e) for e in exps),
-                         "re": repr(float(complex(v).real)),
-                         "im": repr(float(complex(v).imag))})
+                         "re": complex(v).real, "im": complex(v).imag})
     return rows
 
 
@@ -251,8 +240,7 @@ def _transform_command(cfg: RunConfig, inverse: bool) -> int:
     seq = _resolve_sequence(cfg)
     p = _load_polynomial(cfg.input)
     q = sheffer_inverse_apply(seq, p) if inverse else sheffer_apply(seq, p)
-    doc = q.to_json_dict()
-    _emit_report(cfg, doc, ["degree", "exp", "re", "im"], _poly_rows(q))
+    _emit_report(cfg, q.to_json_dict(), ["degree", "exp", "re", "im"], _poly_rows(q))
     print(f"{'expanded' if inverse else 'applied'} degree {p.trimmed().degree} "
           f"-> {q.trimmed().degree}, wrote {cfg.out}")
     return EXIT_OK
@@ -286,9 +274,7 @@ def _poly_errors(p: PolynomialOnDual, q: PolynomialOnDual,
         diff = p.coefficient(n) - q.coefficient(n)
         for v in diff.coeffs.values():
             abs_err = max(abs_err, abs(complex(v)))
-    scale = max(1.0, _coeff_scale(p), *(_coeff_scale(m) for m in via)) if via \
-        else max(1.0, _coeff_scale(p))
-    return abs_err, abs_err / scale
+    return abs_err, abs_err / max(1.0, _coeff_scale(p), *(_coeff_scale(m) for m in via))
 
 
 def cmd_roundtrip(cfg: RunConfig) -> int:
@@ -301,9 +287,7 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
     abs_err, rel_err = _poly_errors(p, back, mid)
     doc = {"max_abs_error": abs_err, "max_rel_error": rel_err,
            "degree": p.trimmed().degree}
-    _emit_report(cfg, doc, ["max_abs_error", "max_rel_error", "degree"],
-                 [{"max_abs_error": repr(abs_err), "max_rel_error": repr(rel_err),
-                   "degree": p.trimmed().degree}])
+    _emit_report(cfg, doc, list(doc), [doc])
     print(f"roundtrip max_rel_error {rel_err:.3e}")
     return EXIT_OK
 
@@ -311,8 +295,7 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
 def cmd_bounds(cfg: RunConfig) -> int:
     seq = _resolve_sequence(cfg)
     report = operator_bound_check(seq, cfg.alpha, cfg.l, cfg.l_prime)
-    _emit_report(cfg, report.to_json_dict(), report.csv_fieldnames(),
-                 [report.csv_row()])
+    _emit_report(cfg, report.to_json_dict(), report.CSV_FIELDS, report.rows)
     print(f"bounds {'PASS' if report.passed else 'FAIL'} "
           f"measured {report.measured:.6e} bound {report.bound:.6e}")
     return EXIT_OK
@@ -322,7 +305,7 @@ def cmd_diverge(cfg: RunConfig) -> int:
     seq = _resolve_sequence(cfg)
     degrees = _parse_degree_range(cfg.degrees)
     report = divergence_sweep(seq, cfg.alpha, degrees)
-    _emit_report(cfg, report.to_json_dict(), report.CSV_FIELDS, report.csv_rows())
+    _emit_report(cfg, report.to_json_dict(), report.CSV_FIELDS, report.rows)
     print(f"diverge verdict {report.verdict} raw_growth {report.raw_growth:.6e} "
           f"max_step_factor {report.max_step_factor:.6e}")
     return EXIT_OK
@@ -331,7 +314,7 @@ def cmd_diverge(cfg: RunConfig) -> int:
 def cmd_probe(cfg: RunConfig) -> int:
     seq = _resolve_sequence(cfg)
     report = quasi_holo_probe(seq.a)
-    _emit_report(cfg, report.to_json_dict(), report.CSV_FIELDS, report.csv_rows())
+    _emit_report(cfg, report.to_json_dict(), report.CSV_FIELDS, report.rows)
     print(f"probe forward_envelope {report.forward_envelope:.6e} "
           f"inverse_envelope {report.inverse_envelope:.6e}")
     return EXIT_OK
@@ -544,11 +527,8 @@ def cmd_check(cfg: RunConfig) -> int:
     checks = _run_checks(cfg)
     all_passed = all(c["passed"] for c in checks)
     doc = {"seed": cfg.seed, "all_passed": all_passed, "checks": checks}
-    rows = [{"name": c["name"], "passed": c["passed"],
-             "measured": repr(c["measured"]), "threshold": repr(c["threshold"])}
-            for c in checks]
     if cfg.out:
-        _emit_report(cfg, doc, ["name", "passed", "measured", "threshold"], rows)
+        _emit_report(cfg, doc, ["name", "passed", "measured", "threshold"], checks)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
               f"{c['measured']:.3e} (threshold {c['threshold']:.3e})")
@@ -573,21 +553,19 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shefferkit",
-        description="Build Sheffer sequences, transform polynomials, and run "
-                    "norm-bound verifications.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--config", help="JSON RunConfig overriding the flags")
-    # the same globals are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the root
+    # the globals are accepted before and after the subcommand; SUPPRESS keeps
+    # either parser from clobbering a value the other parsed, and RunConfig
+    # supplies the defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
+    common.add_argument("--out", default=argparse.SUPPRESS, help="output file path")
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS)
+    common.add_argument("--config", default=argparse.SUPPRESS,
+                        help="JSON RunConfig overriding the flags")
+    parser = argparse.ArgumentParser(
+        prog="shefferkit", parents=[common],
+        description="Build Sheffer sequences, transform polynomials, and run "
+                    "norm-bound verifications.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("family", help="build a sequence file", parents=[common])

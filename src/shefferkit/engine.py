@@ -54,6 +54,7 @@ from .series import (
     ScalarSeries,
     VectorSeries,
     _normalized,
+    _rescaled,
     graded_exponents,
     graded_size,
     json_field,
@@ -175,16 +176,6 @@ def _float_or_inf(value: int) -> float:
         return math.inf
 
 
-def _rescaled(c: complex, num: int, den: int) -> complex:
-    """c * num/den with each part rounded once; used where the float weights
-    leave the double range.  NaN when the entry itself does."""
-    w = Fraction(num, den)
-    try:
-        return complex(float(w * Fraction(c.real)), float(w * Fraction(c.imag)))
-    except (OverflowError, ValueError):  # the entry overflows, or c is not finite
-        return complex(math.nan, math.nan)
-
-
 def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
                      order: int, exact: bool) -> dict[tuple[int, int], np.ndarray]:
     """Blocks of the graded transform with generating function
@@ -234,7 +225,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
                 rows.real = ffact * raw.real / fbeta
                 rows.imag = ffact * raw.imag / fbeta
             for r, col in zip(*np.nonzero(~np.isfinite(rows))):
-                rows[r, col] = _rescaled(complex(raw[r, col]), fact[col], fact[lo + r])
+                rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
         rows_by_degree.append(rows)
     blocks = {(k, n): np.ascontiguousarray(rows_by_degree[k][:, offsets[n]:offsets[n + 1]])
               for n in range(order + 1) for k in range(n + 1)}
@@ -305,12 +296,6 @@ class ShefferSequence:
             self._inverse_blocks = _transfer_blocks(
                 self.inverse_a, factor, self.max_degree, self.exact)
         return self._inverse_blocks
-
-    def apply(self, p: PolynomialOnDual) -> PolynomialOnDual:
-        return _graded_apply(self, self.blocks, p)
-
-    def inverse_apply(self, p: PolynomialOnDual) -> PolynomialOnDual:
-        return _graded_apply(self, self.inverse_blocks, p)
 
     def polynomial_tensor(self, n: int, omega) -> SymCoeff:
         """S_n(w) at a numeric w, as a dual symmetric tensor.
@@ -412,12 +397,12 @@ def _assert_monic(seq: ShefferSequence) -> None:
 
 def sheffer_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
     """psi_k = sum_{n>=k} V[k, n] phi_n."""
-    return seq.apply(p)
+    return _graded_apply(seq, seq.blocks, p)
 
 
 def sheffer_inverse_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
     """Exact inverse of sheffer_apply up to the built order."""
-    return seq.inverse_apply(p)
+    return _graded_apply(seq, seq.inverse_blocks, p)
 
 
 # -- independent combinatorial route ----------------------------------------
@@ -433,8 +418,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual,
-                        max_dim: int = 2, max_degree: int = 6) -> PolynomialOnDual:
+def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual) -> PolynomialOnDual:
     """Umbral transform computed from the multinomial expansion directly.
 
     psi_m = (1/m!) sum over compositions (k_1..k_m) of n of
@@ -448,8 +432,8 @@ def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual,
         raise ValueError("the degree-1 part of A must be the identity map")
     d = a.dim_in
     deg = p.trimmed().degree
-    if d > max_dim or deg > max_degree:
-        raise ValueError(f"combinatorial path budget exceeded (d<={max_dim}, N<={max_degree})")
+    if d > 2 or deg > 6:
+        raise ValueError("combinatorial path budget exceeded (d<=2, N<=6)")
     kernels: dict[int, list[np.ndarray]] = {}
     for k in range(1, deg + 1):
         kernels[k] = [
@@ -548,12 +532,11 @@ def _random_point(dim: int, rng: np.random.Generator) -> list[complex]:
     return [complex(a, b) for a, b in zip(re, im)]
 
 
-def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> PolynomialOnDual:
+def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator) -> PolynomialOnDual:
     coeffs = []
     for n in range(max_degree + 1):
         basis = monomial_basis(dim, n)
-        vals = scale * (rng.uniform(-1, 1, len(basis)) + 1j * rng.uniform(-1, 1, len(basis)))
+        vals = rng.uniform(-1, 1, len(basis)) + 1j * rng.uniform(-1, 1, len(basis))
         coeffs.append(SymCoeff(dim, n, vals))
     return PolynomialOnDual.from_coeffs(dim, coeffs)
 
@@ -601,7 +584,7 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     against the recomputation through their checksums."""
     doc = json_object(doc, "sequence")
     version = doc.get("format_version")
-    if version is not None and version not in range(2, SEQUENCE_FORMAT + 1):
+    if version is not None and not (type(version) is int and 2 <= version <= SEQUENCE_FORMAT):
         raise ValueError(f"unsupported sequence format_version {version!r}")
     a = VectorSeries.from_json_dict(doc.get("a"))
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])

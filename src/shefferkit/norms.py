@@ -22,7 +22,7 @@ p(r u) = sum_n r^n q_n(u) with q_n the degree parts of p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -84,8 +84,20 @@ class GradedNorm:
             raise ValueError("level must be nonnegative")
 
 
+class _Report:
+    """A report's JSON document is its dataclass fields, with numpy scalars
+    made plain, plus `passed` where it has a verdict; its CSV table is
+    `rows` under `CSV_FIELDS`."""
+
+    def to_json_dict(self) -> dict:
+        doc = _plain(asdict(self))
+        if hasattr(self, "passed"):
+            doc["passed"] = self.passed
+        return doc
+
+
 @dataclass
-class BoundReport:
+class BoundReport(_Report):
     """Measured-versus-theoretical outcome of one inequality check."""
 
     name: str
@@ -99,38 +111,18 @@ class BoundReport:
     def passed(self) -> bool:
         return self.measured <= self.bound * (1.0 + PASS_SLACK)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": float(self.measured),
-            "bound": float(self.bound),
-            "passed": self.passed,
-            "params": {k: _plain(v) for k, v in sorted(self.params.items())},
-            "per_degree": self.per_degree,
-            "notes": list(self.notes),
-        }
-
-    def csv_fieldnames(self) -> list[str]:
+    @property
+    def CSV_FIELDS(self) -> list[str]:
         return ["name", "passed", "measured", "bound"] + sorted(self.params)
 
-    def csv_row(self) -> dict:
-        row = {"name": self.name, "passed": self.passed,
-               "measured": repr(float(self.measured)), "bound": repr(float(self.bound))}
-        for k, v in self.params.items():
-            row[k] = _plain(v)
-        return row
-
-
-class _Table:
-    """A report with per-degree `rows`, written one CSV line per row."""
-
-    def csv_rows(self) -> list[dict]:
-        return [{k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-                for row in self.rows]
+    @property
+    def rows(self) -> list[dict]:
+        return [{"name": self.name, "passed": self.passed, "measured": self.measured,
+                 "bound": self.bound, **_plain(self.params)}]
 
 
 @dataclass
-class SweepReport(_Table):
+class SweepReport(_Report):
     """Per-degree ratio table with a growth verdict."""
 
     name: str
@@ -144,21 +136,9 @@ class SweepReport(_Table):
 
     CSV_FIELDS = ["degree", "ratio", "norm_num", "norm_den"]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "alpha": self.alpha,
-            "rows": self.rows,
-            "verdict": self.verdict,
-            "raw_growth": float(self.raw_growth),
-            "max_step_factor": float(self.max_step_factor),
-            "reference_degree": self.reference_degree,
-            "params": {k: _plain(v) for k, v in sorted(self.params.items())},
-        }
-
 
 @dataclass
-class ProbeReport(_Table):
+class ProbeReport(_Report):
     """Geometric envelopes of the graded blocks of a map and its inverse."""
 
     name: str
@@ -171,22 +151,16 @@ class ProbeReport(_Table):
 
     CSV_FIELDS = ["degree", "forward_norm", "inverse_norm"]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "rows": self.rows,
-            "forward_envelope": float(self.forward_envelope),
-            "inverse_envelope": float(self.inverse_envelope),
-            "envelope_ratio": float(self.envelope_ratio),
-            "comparable": self.comparable,
-            "notes": list(self.notes),
-        }
-
 
 def _plain(v):
-    if isinstance(v, (np.floating, float)):
+    """v with its numpy scalars made Python numbers, in lists and dicts too."""
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    if isinstance(v, np.floating):
         return float(v)
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return int(v)
     return v
 
@@ -233,12 +207,12 @@ def _image_norms(seq: ShefferSequence, n: int, g: GradedNorm, low: int = 0) -> n
                for k in range(low, n + 1))
 
 
-def _auto_radial_max(degree: int, g: GradedNorm, margin: float = 10.0) -> float:
-    """Smallest R past the peak with deg*log r <= 2^{-l} r^alpha - margin."""
+def _auto_radial_max(degree: int, g: GradedNorm) -> float:
+    """Smallest R past the peak with deg*log r <= 2^{-l} r^alpha - 10."""
     l2 = 2.0 ** (-g.level)
 
     def gap(r: float) -> float:
-        return l2 * r ** g.alpha - max(degree, 0) * math.log(max(r, 1e-12)) - margin
+        return l2 * r ** g.alpha - max(degree, 0) * math.log(max(r, 1e-12)) - 10.0
 
     lo = max(1.0, (max(degree, 1) * 2.0 ** g.level / g.alpha) ** (1.0 / g.alpha))
     hi = lo

@@ -151,6 +151,20 @@ def _scaled(vec: np.ndarray, scalar) -> np.ndarray:
     return np.asarray(vec, dtype=complex) * complex(scalar)
 
 
+def _rescaled(value, num: int, den: int):
+    """value * num/den with each part rounded once: exact for an int or
+    Fraction value, else complex with NaN parts where the value or the
+    product leaves the double range."""
+    w = Fraction(num, den)
+    if _is_exact(value):
+        return value * w
+    z = complex(value)
+    try:
+        return complex(float(w * Fraction(z.real)), float(w * Fraction(z.imag)))
+    except (OverflowError, ValueError):  # the product overflows, or z is not finite
+        return complex(math.nan, math.nan)
+
+
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise a * b with each part rounded as Python's complex product,
     (ar br - ai bi) + (ar bi + ai br) i; numpy's own complex multiply fuses

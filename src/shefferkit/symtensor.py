@@ -44,6 +44,7 @@ from .series import (
     _cmul,
     _coeff_vector,
     _common,
+    _rescaled,
     graded_size,
     json_field,
     json_object,
@@ -280,22 +281,12 @@ def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:
     return SymCoeff.from_coeffs(phi.dim, n - k, out)
 
 
-def _scale_exact(value, frac: Fraction):
-    """value * frac with a single rounding (floats pass through Fractions)."""
-    if isinstance(value, (int, Fraction)):
-        return value * frac
-    z = complex(value)
-    re = float(Fraction(z.real) * frac) if z.real else 0.0
-    im = float(Fraction(z.imag) * frac) if z.imag else 0.0
-    return complex(re, im)
-
-
-def to_dense(phi: SymCoeff, budget: int = DENSE_BUDGET) -> np.ndarray:
+def to_dense(phi: SymCoeff) -> np.ndarray:
     """Full d^n dense tensor; entry at slots (i_1..i_n) is c_beta * beta!/n!
     where beta counts slot occurrences."""
     d, n = phi.dim, phi.degree
-    if d ** n > budget:
-        raise ValueError(f"dense budget exceeded: {d}^{n} > {budget}")
+    if d ** n > DENSE_BUDGET:
+        raise ValueError(f"dense budget exceeded: {d}^{n} > {DENSE_BUDGET}")
     exact = not phi.is_zero and phi.exact
     out = np.zeros((d,) * n, dtype=object if exact else complex)
     if exact:
@@ -306,7 +297,7 @@ def to_dense(phi: SymCoeff, budget: int = DENSE_BUDGET) -> np.ndarray:
         c = phi.coefficient(beta)
         if c == 0:
             continue
-        out[pos] = _scale_exact(c, Fraction(multi_factorial(beta), nfact))
+        out[pos] = _rescaled(c, multi_factorial(beta), nfact)
     return out
 
 
@@ -325,5 +316,5 @@ def from_dense(tensor: np.ndarray, dim: int | None = None) -> SymCoeff:
         value = t[pos] if n > 0 else t[()]
         if value == 0:
             continue
-        coeffs[beta] = _scale_exact(value, Fraction(nfact, multi_factorial(beta)))
+        coeffs[beta] = _rescaled(value, nfact, multi_factorial(beta))
     return SymCoeff.from_coeffs(d, n, coeffs)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -157,6 +158,58 @@ class TestReportCommands:
         assert doc["comparable"] is True
 
 
+class TestCsvReports:
+    """A CSV report is a header row of the documented fields, then rows whose
+    float cells are the repr of the matching JSON values."""
+
+    @staticmethod
+    def both_formats(tmp_path, args):
+        paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            assert run(args + ["--format", fmt, "--out", path]) == 0
+        with open(paths["csv"], newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        return json.loads(paths["json"].read_text()), header, rows
+
+    @staticmethod
+    def assert_cells(header, rows, json_rows):
+        assert len(rows) == len(json_rows)
+        for row, doc in zip(rows, json_rows):
+            for name, cell in zip(header, row, strict=True):
+                value = doc[name]
+                assert cell == (repr(value) if isinstance(value, float) else str(value)), name
+
+    def test_probe(self, tmp_path):
+        doc, header, rows = self.both_formats(
+            tmp_path, ["probe", "--kind", "laguerre", "--dim", 1, "--max-degree", 8])
+        assert header == ["degree", "forward_norm", "inverse_norm"]
+        self.assert_cells(header, rows, doc["rows"])
+
+    def test_roundtrip(self, tmp_path):
+        poly = monomial_file(tmp_path, "z5.json", 1, (5,))
+        doc, header, rows = self.both_formats(
+            tmp_path, ["roundtrip", "--kind", "charlier", "--dim", 1, "--max-degree", 8,
+                       "--input", poly])
+        assert header == ["max_abs_error", "max_rel_error", "degree"]
+        self.assert_cells(header, rows, [doc])
+
+    def test_check(self, tmp_path):
+        doc, header, rows = self.both_formats(tmp_path, ["check", "--seed", 2])
+        assert header == ["name", "passed", "measured", "threshold"]
+        self.assert_cells(header, rows, doc["checks"])
+
+    def test_expand(self, tmp_path):
+        poly = monomial_file(tmp_path, "z4.json", 2, (3, 1))
+        doc, header, rows = self.both_formats(
+            tmp_path, ["expand", "--kind", "charlier", "--dim", 2, "--max-degree", 5,
+                       "--input", poly])
+        assert header == ["degree", "exp", "re", "im"]
+        terms = [{"degree": c["degree"], "exp": " ".join(map(str, t["exp"])),
+                  "re": t["re"], "im": t["im"]}
+                 for c in doc["coefficients"] for t in c["terms"]]
+        self.assert_cells(header, rows, terms)
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         poly = monomial_file(tmp_path, "z5.json", 1, (5,))
@@ -184,6 +237,14 @@ class TestDeterminism:
         assert run(["check", "--seed", 3, "--out", one]) == 0
         assert run(["check", "--seed", 3, "--out", two]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_global_options_before_or_after_command(self, tmp_path):
+        one = tmp_path / "c1.json"
+        two = tmp_path / "c2.json"
+        assert run(["--seed", 3, "check", "--out", one]) == 0
+        assert run(["check", "--seed", 3, "--out", two]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert json.loads(one.read_text())["seed"] == 3
 
 
 class TestConfig:
@@ -336,6 +397,21 @@ class TestExitCodes:
                     "--input", monomial_file(tmp_path, "z2.json", 1, (2,)), "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"block key '{key}' must be 'k,n'" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [4.0, 2.0, True, "4"])
+    def test_format_version_must_be_int(self, tmp_path, capsys, version):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])
+        seq_doc = json.loads(seq_file.read_text(encoding="utf-8"))
+        seq_doc["format_version"] = version
+        seq_file.write_text(json.dumps(seq_doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert run(["expand", "--sequence", seq_file,
+                    "--input", monomial_file(tmp_path, "z2.json", 1, (2,)), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"unsupported sequence format_version {version!r}" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [

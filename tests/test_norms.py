@@ -180,7 +180,7 @@ class TestEmbedding:
         doc = rep.to_json_dict()
         assert set(doc) == {"name", "measured", "bound", "passed", "params",
                             "per_degree", "notes"}
-        row = rep.csv_row()
+        row = rep.rows[0]
         assert row["name"] == "embedding_check"
 
 
@@ -279,7 +279,7 @@ class TestDivergenceSweep:
         seq = build_basic(VectorSeries.identity(1, 6), 6)
         rep = divergence_sweep(seq, 2.0, range(1, 7))
         assert rep.CSV_FIELDS == ["degree", "ratio", "norm_num", "norm_den"]
-        assert set(rep.csv_rows()[0]) == set(rep.CSV_FIELDS)
+        assert set(rep.rows[0]) == set(rep.CSV_FIELDS)
 
 
 class TestQuasiHoloProbe:
