@@ -1,7 +1,7 @@
 """Sheffer sequences as graded coefficient transforms.
 
-A sequence is represented by its transfer blocks V[k, n], the matrices over
-monomial bases with
+A sequence is represented by one graded matrix per direction, rows the
+output degree k and columns the input degree n, with blocks V[k, n]
 
     <S_n(w), phi_n> = sum_{k<=n} <w^{(x)k}, V[k, n] phi_n>,
 
@@ -20,11 +20,11 @@ for k = |beta|, n = |gamma|.  The products theta * A^beta are built in d
 variables, one series product per monomial beta of degree <= N.  In d = 1
 this is the column construction of an exponential Riordan array.
 
-Monicity (V[n, n] = identity) and lower triangularity follow from the unit
-linear part of A and rho(0) = 1, and are asserted after every build.  In
-float mode the top blocks are exactly the identity too: their coefficients
-are exact products of ones, and their weight gamma!/beta! divides a float
-by itself.
+The matrix is block upper triangular with identity diagonal blocks, from
+the unit linear part of A and rho(0) = 1; monicity is asserted after every
+build, and `blocks` holds read-only views of the blocks.  In float mode the
+top blocks are exactly the identity too: their coefficients are exact
+products of ones, and their weight gamma!/beta! divides a float by itself.
 
 The inverse transform is the graded transform of the same shape built from
 the compositional inverse B of A: substituting xi = B(zeta) in G gives
@@ -100,6 +100,8 @@ class PolynomialOnDual:
     @classmethod
     def from_coeffs(cls, dim: int, coeffs: Iterable[SymCoeff]) -> "PolynomialOnDual":
         cs = tuple(coeffs)
+        if not cs:
+            raise ValueError("a polynomial needs at least its degree-0 coefficient")
         for n, c in enumerate(cs):
             if c.dim != dim:
                 raise ValueError("coefficient dimension mismatch")
@@ -176,10 +178,10 @@ def _float_or_inf(value: int) -> float:
         return math.inf
 
 
-def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
-                     order: int, exact: bool) -> dict[tuple[int, int], np.ndarray]:
-    """Blocks of the graded transform with generating function
-    exp[<w, vec(xi)>] * factor(xi).
+def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
+                     ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Read-only graded matrix of the transform with generating function
+    exp[<w, vec(xi)>] * factor(xi), and its blocks V[k, n] as views.
 
     Expanding <w, vec>^k / k! = sum_{|beta|=k} w^beta vec^beta / beta! gives
 
@@ -187,8 +189,8 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
 
     so only d-variable series are built: one product per monomial beta of
     degree <= order, factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i
-    with i the first nonzero index of beta.  Row beta of the blocks V[k, n]
-    is the degree-n slice of that series' vector, weighted.
+    with i the first nonzero index of beta.  Row beta of the matrix is that
+    series' vector, weighted.
 
     In float mode an entry is (gamma! * c) / beta! with both factorials as
     floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
@@ -203,7 +205,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
     offsets = [graded_size(d, n - 1) for n in range(order + 2)]
     fact = [multi_factorial(gamma) for gamma in graded_exponents(d, order).tolist()]
     ffact = np.array([_float_or_inf(f) for f in fact])
-    rows_by_degree = []
+    mat = np.full((len(fact),) * 2, Fraction(0) if exact else 0j)
     level = {(0,) * d: factor}
     for k in range(order + 1):
         if k > 0:
@@ -214,49 +216,50 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries,
                 level[beta] = ps_mul(prev[lower], vec.components[i])
         raw = np.stack([s.vec for s in level.values()])
         lo = offsets[k]
+        rows = mat[lo:offsets[k + 1]]
         if exact:
-            rows = np.full(raw.shape, Fraction(0), dtype=object)
             for r, col in zip(*np.nonzero(raw)):
                 rows[r, col] = Fraction(fact[col], fact[lo + r]) * raw[r, col]
         else:
             fbeta = ffact[lo:offsets[k + 1], None]
-            rows = np.empty(raw.shape, dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
                 rows.real = ffact * raw.real / fbeta
                 rows.imag = ffact * raw.imag / fbeta
             for r, col in zip(*np.nonzero(~np.isfinite(rows))):
                 rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
-        rows_by_degree.append(rows)
-    blocks = {(k, n): np.ascontiguousarray(rows_by_degree[k][:, offsets[n]:offsets[n + 1]])
+    mat.flags.writeable = False
+    blocks = {(k, n): mat[offsets[k]:offsets[k + 1], offsets[n]:offsets[n + 1]]
               for n in range(order + 1) for k in range(n + 1)}
-    if not exact:
-        for (k, n), mat in blocks.items():  # by degree n, lowest first
-            if not np.isfinite(mat).all():
-                raise ValueError(f"float block V[{k},{n}] leaves the double range; "
-                                 f"lower max_degree below {n}")
-    return blocks
+    if not exact and not np.isfinite(mat).all():
+        k, n = next(key for key, block in blocks.items()  # by degree n, lowest first
+                    if not np.isfinite(block).all())
+        raise ValueError(f"float block V[{k},{n}] leaves the double range; "
+                         f"lower max_degree below {n}")
+    return mat, blocks
 
 
 class ShefferSequence:
-    """Graded transfer blocks of one Sheffer sequence, plus its defining data.
+    """Graded matrix and blocks of one Sheffer sequence, plus its defining data.
 
-    Immutable after construction; the inverse blocks are materialized lazily
-    on first use and cached.
+    Immutable after construction; the inverse matrix and blocks are
+    materialized lazily on first use of inverse_blocks and cached.
     """
 
-    def __init__(self, dim: int, max_degree: int,
+    def __init__(self, dim: int, max_degree: int, matrix: np.ndarray,
                  blocks: dict[tuple[int, int], np.ndarray],
                  a: VectorSeries, rho: ScalarSeries | None,
                  theta_series: ScalarSeries, kappa_series: ScalarSeries,
                  exact: bool) -> None:
         self.dim = dim
         self.max_degree = max_degree
+        self.matrix = matrix
         self.blocks = blocks
         self.a = a
         self.rho = rho
         self.theta_series = theta_series
         self.kappa_series = kappa_series
         self.exact = exact
+        self._inverse_matrix: np.ndarray | None = None
         self._inverse_blocks: dict[tuple[int, int], np.ndarray] | None = None
         self._b: VectorSeries | None = None
 
@@ -279,9 +282,6 @@ class ShefferSequence:
         return self.a.unit_linear and not any(
             np.any(c.vec[graded_size(self.dim, 1):]) for c in self.a.components)
 
-    def block(self, k: int, n: int) -> np.ndarray:
-        return self.blocks[(k, n)]
-
     @property
     def inverse_a(self) -> VectorSeries:
         if self._b is None:
@@ -293,9 +293,14 @@ class ShefferSequence:
         if self._inverse_blocks is None:
             factor = (self.kappa_series if self.rho is None  # both are 1
                       else self.rho.truncate(self.max_degree))
-            self._inverse_blocks = _transfer_blocks(
+            self._inverse_matrix, self._inverse_blocks = _transfer_blocks(
                 self.inverse_a, factor, self.max_degree, self.exact)
         return self._inverse_blocks
+
+    @property
+    def inverse_matrix(self) -> np.ndarray:
+        self.inverse_blocks  # builds the inverse on first use
+        return self._inverse_matrix
 
     def polynomial_tensor(self, n: int, omega) -> SymCoeff:
         """S_n(w) at a numeric w, as a dual symmetric tensor.
@@ -306,14 +311,10 @@ class ShefferSequence:
         if n > self.max_degree:
             raise DegreeOverflowError(f"degree {n} exceeds built order {self.max_degree}")
         powers = monomial_values(graded_exponents(self.dim, n), [list(omega)])[0]
-        basis_n = monomial_basis(self.dim, n)
-        values = np.zeros(len(basis_n), dtype=complex)
-        for k in range(n + 1):
-            mat = self.blocks[(k, n)]
-            if mat.dtype == object:
-                mat = mat.astype(complex)
-            values += powers[graded_size(self.dim, k - 1):graded_size(self.dim, k)] @ mat
-        gamma_fact = np.array([float(multi_factorial(gamma)) for gamma in basis_n])
+        panel = self.matrix[:len(powers), graded_size(self.dim, n - 1):len(powers)]
+        values = powers @ np.asarray(panel, dtype=complex)
+        gamma_fact = np.array([float(multi_factorial(gamma))
+                               for gamma in monomial_basis(self.dim, n)])
         return SymCoeff(self.dim, n, values * float(math.factorial(n)) / gamma_fact)
 
     def summary_rows(self) -> list[dict]:
@@ -333,7 +334,8 @@ class ShefferSequence:
                 f"exact={self.exact})")
 
 
-def _graded_apply(seq: ShefferSequence, blocks: dict, p: PolynomialOnDual) -> PolynomialOnDual:
+def _graded_apply(seq: ShefferSequence, mat: np.ndarray, p: PolynomialOnDual) -> PolynomialOnDual:
+    """psi = mat phi by column panels: each entry adds its terms by increasing n."""
     if p.dim != seq.dim:
         raise ValueError("dimension mismatch")
     if p.is_zero:
@@ -343,14 +345,14 @@ def _graded_apply(seq: ShefferSequence, blocks: dict, p: PolynomialOnDual) -> Po
         raise DegreeOverflowError(
             f"polynomial degree {deg} exceeds built order {seq.max_degree}")
     dtype = object if seq.exact else complex
-    out = []
-    for k in range(deg + 1):
-        acc = np.zeros(len(monomial_basis(seq.dim, k)), dtype=dtype)
-        for n in range(k, deg + 1):
-            phi = p.coefficient(n)
-            if not phi.is_zero:
-                acc = acc + blocks[(k, n)] @ np.asarray(phi.vec, dtype=dtype)
-        out.append(SymCoeff(seq.dim, k, _normalized(acc)))
+    offsets = [graded_size(seq.dim, n - 1) for n in range(deg + 2)]
+    acc = np.zeros(offsets[-1], dtype=dtype)
+    for n, phi in enumerate(p.coeffs[:deg + 1]):
+        if not phi.is_zero:
+            hi = offsets[n + 1]
+            acc[:hi] += mat[:hi, offsets[n]:hi] @ np.asarray(phi.vec, dtype=dtype)
+    out = [SymCoeff(seq.dim, k, _normalized(acc[offsets[k]:offsets[k + 1]]))
+           for k in range(deg + 1)]
     return PolynomialOnDual.from_coeffs(seq.dim, out).trimmed()
 
 
@@ -360,6 +362,8 @@ def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
 
 def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> ShefferSequence:
     """Construct the sequence for generating data (A, rho) up to degree `order`."""
+    if order < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {order}")
     if not a.unit_linear:
         raise ValueError("the degree-1 part of A must be the identity map")
     if a.max_degree < order:
@@ -376,8 +380,8 @@ def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> Shef
     kappa_series = (ScalarSeries.one(d, order, exact=exact) if rho is None
                     else ps_compose(rho.truncate(order), a_trunc))
     theta_series = ps_recip(kappa_series)
-    blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
-    seq = ShefferSequence(d, order, blocks, a_trunc, rho,
+    matrix, blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
+    seq = ShefferSequence(d, order, matrix, blocks, a_trunc, rho,
                           theta_series, kappa_series, exact)
     _assert_monic(seq)
     return seq
@@ -397,12 +401,12 @@ def _assert_monic(seq: ShefferSequence) -> None:
 
 def sheffer_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
     """psi_k = sum_{n>=k} V[k, n] phi_n."""
-    return _graded_apply(seq, seq.blocks, p)
+    return _graded_apply(seq, seq.matrix, p)
 
 
 def sheffer_inverse_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
     """Exact inverse of sheffer_apply up to the built order."""
-    return _graded_apply(seq, seq.inverse_blocks, p)
+    return _graded_apply(seq, seq.inverse_matrix, p)
 
 
 # -- independent combinatorial route ----------------------------------------

@@ -5,7 +5,8 @@ library's generating-function or graded-transform machinery: explicit
 integer products, three-term recurrences, finite combinatorial sums, dense
 tensor algebra via numpy, and triangular solves.  The norm-check oracles
 take the long way round instead: one full graded apply per monomial, and
-one polynomial evaluation per sampled point.
+one polynomial evaluation per sampled point.  The graded apply oracle takes
+the built blocks and multiplies them one (k, n) pair at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from shefferkit.engine import PolynomialOnDual, ShefferSequence, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
 from shefferkit.series import (ScalarSeries, VectorSeries, graded_size, monomial_basis, ps_mul,
                                vs_compose)
+from shefferkit.symtensor import SymCoeff
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -224,6 +226,25 @@ def fine_grid_sup_1d(poly_coeffs: list[complex], alpha: float, level: int,
             vals = vals * z + c
         best = max(best, float(np.max(np.abs(vals) * np.exp(-(2.0 ** -level) * radii ** alpha))))
     return best
+
+
+# -- graded apply oracle ----------------------------------------------------------
+
+
+def apply_by_blocks(blocks: dict, p: PolynomialOnDual, exact: bool) -> PolynomialOnDual:
+    """psi_k = sum_{n>=k} V[k, n] phi_n with one block product per (k, n),
+    each output degree's terms added in increasing n."""
+    dtype = object if exact else complex
+    deg = p.trimmed().degree
+    out = []
+    for k in range(deg + 1):
+        acc = np.zeros(len(monomial_basis(p.dim, k)), dtype=dtype)
+        for n in range(k, deg + 1):
+            phi = p.coefficient(n)
+            if not phi.is_zero:
+                acc = acc + blocks[(k, n)] @ np.asarray(phi.vec, dtype=dtype)
+        out.append(SymCoeff(p.dim, k, acc))
+    return PolynomialOnDual.from_coeffs(p.dim, out).trimmed()
 
 
 # -- norm-check oracles -----------------------------------------------------------

@@ -29,8 +29,8 @@ class TestFamilyCommand:
         assert run(["family", "--kind", "falling", "--dim", 1,
                     "--max-degree", 8, "--out", out]) == 0
         seq = load_sequence(out)
-        assert seq.block(2, 3)[0, 0] == -3
-        assert seq.block(1, 3)[0, 0] == 2
+        assert seq.blocks[(2, 3)][0, 0] == -3
+        assert seq.blocks[(1, 3)][0, 0] == 2
 
     def test_hermite_s4_row(self, tmp_path):
         out = tmp_path / "hermite.json"
@@ -47,10 +47,10 @@ class TestFamilyCommand:
                     "--out", out]) == 0
         seq = load_sequence(out)
         for n in range(5):
-            mat = seq.block(n, n)
+            mat = seq.blocks[(n, n)]
             assert np.array_equal(mat, np.eye(mat.shape[0], dtype=complex))
             for k in range(n):
-                assert not np.any(seq.block(k, n))
+                assert not np.any(seq.blocks[(k, n)])
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -67,7 +67,7 @@ class TestFamilyCommand:
         doc = json.loads(out.read_text())
         assert "blocks" not in doc
         seq = load_sequence(out)
-        assert seq.block(2, 3)[0, 0] == -3
+        assert seq.blocks[(2, 3)][0, 0] == -3
 
 
 class TestTransformCommands:
@@ -309,6 +309,21 @@ class TestExitCodes:
         assert "lower max_degree below 171" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_negative_max_degree_in_sequence_file(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        run(["family", "--kind", "charlier", "--dim", 1, "--max-degree", 4,
+             "--no-blocks", "--out", seq_file])
+        seq_doc = json.loads(seq_file.read_text(encoding="utf-8"))
+        seq_doc["max_degree"] = -1
+        seq_file.write_text(json.dumps(seq_doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert run(["expand", "--sequence", seq_file,
+                    "--input", monomial_file(tmp_path, "z0.json", 1, (0,)), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "max_degree must be nonnegative, got -1" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_options_rejected(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.json"
         run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 6,
@@ -335,10 +350,11 @@ class TestExitCodes:
         lambda doc: doc["coefficients"][1].update(terms={}),
         lambda doc: doc["coefficients"][1].update(degree=2),
         lambda doc: doc.update(coefficients="x"),
+        lambda doc: doc.update(coefficients=[]),
         lambda doc: doc.update(dim=None),
         lambda doc: doc.clear() or doc.update(polynomial=[]),
     ], ids=["re-str", "im-null", "re-nan", "im-inf", "exp-float", "exp-negative",
-            "exp-length", "terms-object", "degree-slot", "coefficients-str", "dim-null", "no-fields"])
+            "exp-length", "terms-object", "degree-slot", "coefficients-str", "coefficients-empty", "dim-null", "no-fields"])
     def test_bad_polynomial_documents(self, tmp_path, capsys, edit):
         seq_file = tmp_path / "seq.json"
         run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])

@@ -38,6 +38,7 @@ from shefferkit.symtensor import SymCoeff, sym_contract, sym_norm, sym_product
 
 from conftest import coeff_column_1d, poly_abs_diff, poly_scale, random_polynomial_sparse
 from oracles import (
+    apply_by_blocks,
     charlier_coeffs,
     dense_pair,
     falling_coeffs,
@@ -69,7 +70,7 @@ class TestBuild:
         seq = build_basic(VectorSeries.identity(2, 4), 4)
         for n in range(5):
             for k in range(n + 1):
-                mat = seq.block(k, n)
+                mat = seq.blocks[(k, n)]
                 if k == n:
                     assert np.array_equal(mat, np.eye(mat.shape[0], dtype=complex))
                 else:
@@ -77,8 +78,8 @@ class TestBuild:
 
     def test_falling_block_literals(self):
         seq = falling_seq(4)
-        assert seq.block(2, 3)[0, 0] == -3
-        assert seq.block(1, 3)[0, 0] == 2
+        assert seq.blocks[(2, 3)][0, 0] == -3
+        assert seq.blocks[(1, 3)][0, 0] == 2
 
     def test_falling_matches_product_oracle(self):
         seq = falling_seq(10)
@@ -133,19 +134,24 @@ class TestBuild:
         a = random_unit_linear(2, 5, rng)
         seq = build_basic(a, 5)
         for n in range(6):
-            mat = seq.block(n, n)
+            mat = seq.blocks[(n, n)]
             assert np.array_equal(mat, np.eye(mat.shape[0], dtype=complex))
 
     def test_float_blocks_finite_up_to_the_double_range(self):
         # gamma! leaves the double range at n = 171; falling blocks stay
-        # finite through n = 170 and first overflow at V[4, 171]
+        # finite through n = 170 and first overflow at V[4, 171].  The float
+        # inverse blocks, built from a float compositional inverse, stay
+        # finite through n = 167 and first overflow at V[1, 168]
         seq = falling_seq(170, exact=False)
-        assert all(np.isfinite(mat).all() for mat in seq.blocks.values())
+        assert np.isfinite(seq.matrix).all()
         for (k, n), want in {(1, 170): -math.factorial(169),
                              (169, 170): -math.comb(170, 2)}.items():
-            assert abs(seq.block(k, n)[0, 0] - want) <= 1e-14 * abs(want)
+            assert abs(seq.blocks[(k, n)][0, 0] - want) <= 1e-14 * abs(want)
         with pytest.raises(ValueError, match=r"V\[4,171\].*below 171"):
             falling_seq(200, exact=False)
+        assert np.isfinite(falling_seq(167, exact=False).inverse_matrix).all()
+        with pytest.raises(ValueError, match=r"V\[1,168\].*below 168"):
+            falling_seq(168, exact=False).inverse_blocks
 
     def test_exact_dense_d3_inverse_blocks_invert(self, rng):
         d, order = 3, 5
@@ -178,13 +184,8 @@ class TestBuild:
         # |V W - I| <= 1e-13 |V| |W| entry by entry
         a, rho = dense_pair(dim, order, np.random.default_rng([dim, order]))
         seq = build_sheffer(a, rho, order)
-        size = graded_size(dim, order)
-        fwd, inv = np.zeros((2, size, size), dtype=complex)
-        for mat, blocks in ((fwd, seq.blocks), (inv, seq.inverse_blocks)):
-            for (k, n), block in blocks.items():
-                row, col = graded_size(dim, k - 1), graded_size(dim, n - 1)
-                mat[row:row + block.shape[0], col:col + block.shape[1]] = block
-        err = np.abs(fwd @ inv - np.eye(size))
+        fwd, inv = seq.matrix, seq.inverse_matrix
+        err = np.abs(fwd @ inv - np.eye(graded_size(dim, order)))
         assert np.all(err <= 1e-13 * (np.abs(fwd) @ np.abs(inv)))
 
 
@@ -319,6 +320,68 @@ class TestInverseApply:
         back = sheffer_inverse_apply(seq, sheffer_apply(seq, p))
         for n in range(9):
             assert back.coefficient(n) == p.coefficient(n)
+
+
+def rational_polynomial(dim, order, rng):
+    return PolynomialOnDual.from_coeffs(dim, [
+        SymCoeff.from_coeffs(dim, n, {b: F(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                                      for b in monomial_basis(dim, n)})
+        for n in range(order + 1)])
+
+
+def graded_vector(p, order):
+    vec = np.zeros(graded_size(p.dim, order), dtype=complex)
+    for n, c in enumerate(p.coeffs):
+        vec[graded_size(p.dim, n - 1):graded_size(p.dim, n)] = c.vec
+    return vec
+
+
+class TestApplyByBlocks:
+    """The graded apply, one column panel per input degree, against the
+    block-by-block oracle."""
+
+    @pytest.mark.parametrize("spec", [FamilySpec("charlier", 1, 8),
+                                      FamilySpec("laguerre", 2, 5, k=2.0),
+                                      FamilySpec("hermite", 3, 4)],
+                             ids=["charlier-d1", "laguerre-d2", "hermite-d3"])
+    def test_exact_is_fraction_equal(self, spec, rng):
+        seq = build_sheffer(*make_family(spec, exact=True), spec.max_degree)
+        assert seq.exact
+        for apply, blocks in ((sheffer_apply, seq.blocks),
+                              (sheffer_inverse_apply, seq.inverse_blocks)):
+            p = rational_polynomial(seq.dim, seq.max_degree, rng)
+            got, want = apply(seq, p), apply_by_blocks(blocks, p, exact=True)
+            assert got.degree == want.degree
+            for c, w in zip(got.coeffs, want.coeffs):
+                assert all(isinstance(v, (int, F)) for v in c.vec)
+                assert np.array_equal(c.vec, w.vec)
+
+    @pytest.mark.parametrize("kind", ["falling", "hermite", "charlier", "laguerre", "dense"])
+    def test_float_d1_is_bit_identical(self, kind, rng):
+        if kind == "dense":
+            seq = build_sheffer(*dense_pair(1, 64, rng), 64)
+        else:
+            seq = build_sheffer(*make_family(FamilySpec(kind, 1, 16, k=2.0)), 16)
+        for apply, blocks in ((sheffer_apply, seq.blocks),
+                              (sheffer_inverse_apply, seq.inverse_blocks)):
+            p = random_polynomial(1, seq.max_degree, rng)
+            got, want = apply(seq, p), apply_by_blocks(blocks, p, exact=False)
+            assert got.degree == want.degree
+            for c, w in zip(got.coeffs, want.coeffs):
+                assert np.array_equal(c.vec, w.vec)
+
+    @pytest.mark.parametrize("dim, order", [(2, 6), (3, 5), (4, 4)])
+    def test_float_dense_agrees_to_rounding(self, dim, order, rng):
+        # entry by entry, |got - want| <= 1e-15 (|V| |phi|)
+        seq = build_sheffer(*dense_pair(dim, order, rng), order)
+        for apply, mat, blocks in ((sheffer_apply, seq.matrix, seq.blocks),
+                                   (sheffer_inverse_apply, seq.inverse_matrix,
+                                    seq.inverse_blocks)):
+            p = random_polynomial(dim, order, rng)
+            got, want = apply(seq, p), apply_by_blocks(blocks, p, exact=False)
+            scale = np.abs(mat) @ np.abs(graded_vector(p, order))
+            err = np.abs(graded_vector(got, order) - graded_vector(want, order))
+            assert np.all(err <= 1e-15 * scale)
 
 
 class TestCombinatorialPath:
