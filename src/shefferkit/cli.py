@@ -115,6 +115,8 @@ class RunConfig:
             _check_type(getattr(cfg, f.name), f.name, f.type)
         if cfg.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {cfg.format!r}")
+        if cfg.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {cfg.trials}")
         return cfg
 
 
@@ -160,6 +162,8 @@ def _family_spec(cfg: RunConfig) -> FamilySpec:
 
 def _load_series_or_token(path_or_token: str, dim: int, order: int, role: str):
     if role == "a" and path_or_token == "identity":
+        if order < 1:
+            raise ValueError(f"max_degree must be at least 1, got {order}")
         return VectorSeries.identity(dim, order)
     if role == "rho" and path_or_token == "one":
         return None
@@ -550,20 +554,24 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # the globals are accepted before and after the subcommand; SUPPRESS keeps
     # either parser from clobbering a value the other parsed, and RunConfig
-    # supplies the defaults
-    common = argparse.ArgumentParser(add_help=False)
+    # supplies the defaults.  No parser takes abbreviations: a prefix such as
+    # --l would otherwise select --laguerre-k in a command that has no --l.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS, help="output file path")
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON RunConfig overriding the flags")
     parser = argparse.ArgumentParser(
-        prog="shefferkit", parents=[common],
+        prog="shefferkit", parents=[common], allow_abbrev=False,
         description="Build Sheffer sequences, transform polynomials, and run "
                     "norm-bound verifications.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("family", help="build a sequence file", parents=[common])
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
+
+    p = command("family", "build a sequence file")
     _add_family_options(p)
     p.add_argument("--no-blocks", action="store_true",
                    help="omit precomputed blocks from the sequence file")
@@ -571,29 +579,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("expand", "coefficients of the input in the S-basis"),
                             ("apply", "apply the forward transform"),
                             ("roundtrip", "expand then apply, report the error")):
-        p = subs.add_parser(name, help=help_text, parents=[common])
+        p = command(name, help_text)
         _add_family_options(p)
         p.add_argument("--input", help="polynomial JSON file")
 
-    p = subs.add_parser("bounds", help="operator continuity bound check",
-                        parents=[common])
+    p = command("bounds", "operator continuity bound check")
     _add_family_options(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--l-prime", dest="l_prime", type=int, default=None)
 
-    p = subs.add_parser("diverge", help="same-level ratio sweep at alpha > 1",
-                        parents=[common])
+    p = command("diverge", "same-level ratio sweep at alpha > 1")
     _add_family_options(p)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--degrees", default="1:12", help="inclusive range start:end")
 
-    p = subs.add_parser("probe", help="graded block envelopes of A and its inverse",
-                        parents=[common])
+    p = command("probe", "graded block envelopes of A and its inverse")
     _add_family_options(p)
 
-    p = subs.add_parser("check", help="run the built-in invariant suite",
-                        parents=[common])
+    p = command("check", "run the built-in invariant suite")
     p.add_argument("--trials", type=int, default=20)
 
     return parser

@@ -100,8 +100,8 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+        if self.max_degree < 1:
+            raise ValueError(f"max_degree must be at least 1, got {self.max_degree}")
         if self.kind == "laguerre" and self.k < -1:
             raise ValueError("laguerre parameter must satisfy k >= -1")
         if self.cov is not None:

@@ -14,10 +14,13 @@ epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 Multiplication has one routine for both kinds of vector: a cached table maps
 a pair of graded indices to the index of the product monomial, and the
 products of the operands' nonzero entries are accumulated into the output.
-This is exact coefficient arithmetic, not an FFT, so structural zeros remain
-exact zeros.  exp, log and the reciprocal are degree recurrences in the
-Euler operator E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) over the same
-table, each degree part computed once from the lower ones.  Composition is
+Exact vectors are multiplied as integer numerators over one common
+denominator per operand, with one normalisation per output entry instead of
+a gcd for every product and every sum.  This is exact coefficient
+arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
+and the reciprocal are degree recurrences in the Euler operator
+E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) over the same table, each
+degree part computed once from the lower ones.  Composition is
 Horner's scheme over these products, and the compositional inverse is Newton
 doubling on top of composition and the partial derivative `ps_derivative`.
 """
@@ -410,16 +413,34 @@ def _product_table(dim: int, order: int) -> np.ndarray:
     return table
 
 
+def _over_common_denominator(vec: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer numerators and the lcm of the denominators of an exact vector,
+    so that vec = numerators / denominator."""
+    den = math.lcm(*(int(x.denominator) for x in vec))
+    return np.array([int(x.numerator) * (den // int(x.denominator)) for x in vec],
+                    dtype=object), den
+
+
 def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
                 ib: np.ndarray, vb: np.ndarray, mul) -> np.ndarray:
     """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
     over the pairs of entries (graded indices ia, ib), `mul` being the
     elementwise product; the contributions to an entry are added in the
-    order of ia."""
+    order of ia.  Exact operands are multiplied as integer numerators over
+    one common denominator each, and each nonzero output entry is reduced
+    once: it stays an int where that denominator is 1."""
     targets = _product_table(dim, order)[np.ix_(ia, ib)]
     rows, cols = np.nonzero(targets >= 0)
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
-    np.add.at(out, targets[rows, cols], mul(va[rows], vb[cols]))
+    if va.dtype != object or vb.dtype != object:
+        np.add.at(out, targets[rows, cols], mul(va[rows], vb[cols]))
+        return out
+    (na, da), (nb, db) = _over_common_denominator(va), _over_common_denominator(vb)
+    np.add.at(out, targets[rows, cols], na[rows] * nb[cols])
+    den = da * db
+    if den != 1:
+        nonzero = np.flatnonzero(out)
+        out[nonzero] = [Fraction(num, den) for num in out[nonzero]]
     return out
 
 

@@ -26,52 +26,59 @@ from shefferkit.symtensor import SymCoeff
 
 def gbinom(top: int, j: int) -> Fraction:
     """Generalized binomial coefficient C(top, j) for integer top."""
+    if top >= 0:
+        return Fraction(math.comb(top, j))
     out = Fraction(1)
     for i in range(j):
         out *= Fraction(top - i, i + 1)
     return out
 
 
-def falling_coeffs(n: int) -> list[Fraction]:
+def _times_linear(coeffs: list[int], root: int) -> list[int]:
+    """Coefficients of p(z) (z - root) from those of p; index = power of z."""
+    return [(coeffs[i - 1] if i else 0) - root * (coeffs[i] if i < len(coeffs) else 0)
+            for i in range(len(coeffs) + 1)]
+
+
+def falling_coeffs(n: int) -> list[int]:
     """z(z-1)...(z-n+1) by direct product; index = power of z."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for j in range(n):
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [shifted[i] - j * (coeffs[i] if i < len(coeffs) else Fraction(0))
-                  for i in range(len(shifted))]
+        coeffs = _times_linear(coeffs, j)
     return coeffs
 
 
-def rising_coeffs(n: int) -> list[Fraction]:
+def rising_coeffs(n: int) -> list[int]:
     """z(z+1)...(z+n-1) by direct product."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for j in range(n):
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [shifted[i] + j * (coeffs[i] if i < len(coeffs) else Fraction(0))
-                  for i in range(len(shifted))]
+        coeffs = _times_linear(coeffs, -j)
     return coeffs
 
 
-def hermite_coeffs(n: int) -> list[Fraction]:
+def hermite_coeffs(n: int) -> list[int]:
     """Monic three-term recurrence p_{n+1} = z p_n - n p_{n-1}."""
-    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    prev, cur = [1], [0, 1]
     if n == 0:
         return prev
     for m in range(1, n):
-        nxt = [Fraction(0)] + cur
+        nxt = [0] + cur
         for i, c in enumerate(prev):
             nxt[i] -= m * c
         prev, cur = cur, nxt
     return cur
 
 
-def charlier_coeffs(n: int) -> list[Fraction]:
-    """Expansion of (1+u)^z e^{-u}: c_n(z) = sum_k C(n,k) (z)_k (-1)^{n-k}."""
-    out = [Fraction(0)] * (n + 1)
+def charlier_coeffs(n: int) -> list[int]:
+    """Expansion of (1+u)^z e^{-u}: c_n(z) = sum_k C(n,k) (z)_k (-1)^{n-k},
+    with (z)_k = z(z-1)...(z-k+1) multiplied out one factor per k."""
+    out = [0] * (n + 1)
+    falling = [1]
     for k in range(n + 1):
-        sign = Fraction((-1) ** (n - k)) * math.comb(n, k)
-        for i, v in enumerate(falling_coeffs(k)):
+        sign = (-1) ** (n - k) * math.comb(n, k)
+        for i, v in enumerate(falling):
             out[i] += sign * v
+        falling = _times_linear(falling, k)
     return out
 
 

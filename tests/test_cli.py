@@ -496,3 +496,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["family", "--format", "xml", "--out", "x.json"])
         assert exc.value.code == 2
+
+    def test_abbreviated_option_is_usage_error(self, tmp_path, capsys):
+        # diverge has no --l; a prefix match would read it as --laguerre-k
+        out = tmp_path / "sweep.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["diverge", "--kind", "laguerre", "--max-degree", 6, "--l", 2, "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --l 2" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["family", "--kind", "falling", "--max-deg", 4, "--out", out])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "hermite"], ["--kind", "falling"], ["--kind", "charlier"],
+        ["--kind", "laguerre"], ["--kind", "custom", "--a", "identity"]],
+        ids=["hermite", "falling", "charlier", "laguerre", "custom-identity"])
+    def test_max_degree_zero_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "seq.json"
+        assert run(["family", *args, "--max-degree", 0, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "max_degree must be at least 1, got 0" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        assert run(["check", "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert f"trials must be at least 1, got {trials}" in err and err.count("\n") == 1

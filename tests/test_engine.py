@@ -41,6 +41,7 @@ from oracles import (
     apply_by_blocks,
     charlier_coeffs,
     dense_pair,
+    dict_product,
     falling_coeffs,
     hermite_coeffs,
     laguerre_coeffs,
@@ -59,6 +60,18 @@ def hermite_seq(order, exact=True):
     half = F(1, 2) if exact else 0.5 + 0.0j
     rho = ps_exp(ScalarSeries.from_terms(1, order, {(2,): half}))
     return build_sheffer(VectorSeries.identity(1, order, exact=exact), rho, order)
+
+
+def assert_exact_inverse(seq):
+    """The exact forward matrix times the inverse matrix is the identity;
+    each is multiplied as integers over the lcm of its denominators."""
+    scaled = []
+    for mat in (seq.matrix, seq.inverse_matrix):
+        den = math.lcm(*(x.denominator for x in mat.flat))
+        scaled.append((np.array([int(x * den) for x in mat.flat], dtype=object)
+                       .reshape(mat.shape), den))
+    (fwd, den_f), (inv, den_i) = scaled
+    assert np.array_equal(fwd @ inv, np.eye(len(fwd), dtype=object) * (den_f * den_i))
 
 
 def monomial_1d(n, exact=True):
@@ -632,3 +645,24 @@ class TestClassicalExactness:
             got = sheffer_apply(seq, monomial_1d(n))
             assert [got.coefficient(m).coefficient((m,)) for m in range(n + 1)] == \
                 laguerre_coeffs(n, k)
+
+    @pytest.mark.parametrize("kind", ["falling", "rising", "hermite", "charlier", "laguerre"])
+    def test_catalog_n64_exact(self, kind):
+        # the exact oracle for float mode at N = 64: column n of the forward
+        # matrix is s_n, and forward times inverse is exactly the identity
+        closed_form = {"falling": falling_coeffs, "rising": rising_coeffs,
+                       "hermite": hermite_coeffs, "charlier": charlier_coeffs,
+                       "laguerre": lambda n: laguerre_coeffs(n, 2)}[kind]
+        seq = build_sheffer(*make_family(FamilySpec(kind, 1, 64, k=2), exact=True), 64)
+        assert [list(seq.matrix[:n + 1, n]) for n in range(65)] == \
+            [closed_form(n) for n in range(65)]
+        assert_exact_inverse(seq)
+
+    def test_non_dyadic_laguerre_exact(self):
+        # k = 0.1 enters as its binary value, so the denominators reach 2^55
+        spec = FamilySpec("laguerre", 2, 6, k=0.1, weights=(0.3, 0.7))
+        a, rho = make_family(spec, exact=True)
+        assert max(c.denominator for c in rho.vec) >= 2 ** 55
+        for comp in a.components:
+            assert ps_mul(rho, comp).terms == dict_product(rho, comp)
+        assert_exact_inverse(build_sheffer(a, rho, 6))

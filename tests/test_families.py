@@ -37,6 +37,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FamilySpec("hermite", 2, 4, cov=((1.0, 0.5), (0.4, 1.0)))
 
+    @pytest.mark.parametrize("max_degree", [0, -1])
+    def test_max_degree_at_least_one(self, max_degree):
+        with pytest.raises(ValueError, match=f"max_degree must be at least 1, got {max_degree}"):
+            FamilySpec("hermite", 1, max_degree)
+        FamilySpec("hermite", 1, 1)
+
     def test_weights_positive(self):
         with pytest.raises(ValueError):
             FamilySpec("falling", 2, 4, weights=(1.0, 0.0))

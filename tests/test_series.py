@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -88,6 +89,18 @@ class TestMul:
                             if exact else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             return ScalarSeries.from_terms(dim, order, terms)
 
+        def check(a, b, exact):
+            prod = ps_mul(a, b)
+            got, want = prod.terms, dict_product(a, b)
+            if exact:
+                assert got == want
+                assert prod.exact and all(type(c) in (int, F) for c in prod.vec)
+                return prod
+            scale = max((abs(c) for c in want.values()), default=1.0)
+            assert max((abs(got.get(e, 0) - want.get(e, 0))
+                        for e in got.keys() | want.keys()), default=0.0) <= 1e-15 * scale
+            return prod
+
         for exact in (True, False):
             single = ScalarSeries.from_terms(
                 dim, order, {monomial_basis(dim, 2)[-1]: F(3, 7) if exact else 0.3 - 0.7j})
@@ -95,13 +108,33 @@ class TestMul:
                      for keep in (0.1, 0.3, 1.0) for _ in range(3)]
             pairs += [(single, operand(1.0, exact)), (operand(1.0, exact), single)]
             for a, b in pairs:
-                got, want = ps_mul(a, b).terms, dict_product(a, b)
-                if exact:
-                    assert got == want
-                    continue
-                scale = max((abs(c) for c in want.values()), default=1.0)
-                assert max((abs(got.get(e, 0) - want.get(e, 0))
-                            for e in got.keys() | want.keys()), default=0.0) <= 1e-15 * scale
+                check(a, b, exact)
+
+        def over(dens, ints=False):
+            # dense exact operand with the given denominators in basis order
+            keys = [b for deg in range(order + 1) for b in monomial_basis(dim, deg)]
+            return ScalarSeries.from_terms(dim, order, {
+                b: int(rng.integers(-9, 10)) if ints else F(int(rng.integers(-99, 100)), den)
+                for b, den in zip(keys, dens)})
+
+        # exact operands: denominators near 10^6, pairwise coprime and then
+        # shared; an all-zero operand on either side
+        size = len(ScalarSeries.zero(dim, order).vec)
+        primes = list(itertools.islice((p for p in range(10 ** 6 - 1, 10 ** 5, -2)
+                                        if all(p % q for q in range(3, 1000, 2))), 2 * size))
+        zero = ScalarSeries.zero(dim, order)
+        for a, b in [(over(primes[:size]), over(primes[size:])),
+                     (over(primes[:size]), over(primes[:size])),
+                     (zero, operand(1.0, True)), (operand(1.0, True), zero)]:
+            check(a, b, True)
+        # (c + s)(c - s) = c^2 - s^2: the degree 1 part cancels to exactly zero
+        rest = operand(1.0, True)
+        rest = rest - ScalarSeries.constant(dim, order, rest.constant_term)
+        const = ScalarSeries.constant(dim, order, F(2, 3))
+        assert not np.any(check(const + rest, const - rest, True).degree_part(1))
+        # int operands give int entries
+        ints = check(over([1] * size, ints=True), over([1] * size, ints=True), True)
+        assert all(type(c) is int for c in ints.vec)
 
     def test_ring_laws_random(self, rng):
         worst = 0.0

@@ -74,6 +74,26 @@ class TestProduct:
             assert float(np.max(np.abs(got - want))) <= 1e-12
             assert abs(sym_norm(sym_product(a, b)) - np.linalg.norm(want.ravel())) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_dense_oracle(self, rng, d):
+        # Fraction and int operands: the product equals the dense oracle exactly
+        def exact_symcoeff(degree, ints):
+            return SymCoeff.from_coeffs(d, degree, {
+                b: int(rng.integers(-9, 10)) if ints
+                else F(int(rng.integers(-9, 10)), int(rng.integers(1, 12)))
+                for b in monomial_basis(d, degree)})
+
+        for k in range(3):
+            for m in range(1, 3):
+                for ints in (False, True):
+                    a, b = exact_symcoeff(k, ints), exact_symcoeff(m, ints)
+                    prod = sym_product(a, b)
+                    assert prod.exact
+                    assert all(type(c) is int for c in prod.vec) if ints else \
+                        all(type(c) in (int, F) for c in prod.vec)
+                    assert np.array_equal(to_dense(prod),
+                                          dense_sym_product(to_dense(a), to_dense(b)))
+
     def test_pairing_factorization(self, rng):
         a = random_symcoeff(2, 2, rng)
         b = random_symcoeff(2, 3, rng)
