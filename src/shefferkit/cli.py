@@ -162,8 +162,6 @@ def _family_spec(cfg: RunConfig) -> FamilySpec:
 
 def _load_series_or_token(path_or_token: str, dim: int, order: int, role: str):
     if role == "a" and path_or_token == "identity":
-        if order < 1:
-            raise ValueError(f"max_degree must be at least 1, got {order}")
         return VectorSeries.identity(dim, order)
     if role == "rho" and path_or_token == "one":
         return None
@@ -180,6 +178,8 @@ def _resolve_sequence(cfg: RunConfig) -> ShefferSequence:
     if cfg.kind == "custom":
         if cfg.a is None:
             raise ValueError("custom families need --a (path or 'identity')")
+        if cfg.max_degree < 1:
+            raise ValueError(f"max_degree must be at least 1, got {cfg.max_degree}")
         a = _load_series_or_token(cfg.a, cfg.dim, cfg.max_degree, "a")
         rho = _load_series_or_token(cfg.rho or "one", cfg.dim, cfg.max_degree, "rho")
         return build_sheffer(a, rho, cfg.max_degree)

@@ -29,6 +29,7 @@ from .series import (
     ScalarSeries,
     VectorSeries,
     finite_number,
+    graded_exponents,
     json_field,
     json_object,
     ps_compose,
@@ -53,30 +54,27 @@ def _one(exact: bool):
     return 1 if exact else 1.0 + 0.0j
 
 
+def _series_1d(max_degree: int, exact: bool, coefficient) -> ScalarSeries:
+    """sum_{k=1..max_degree} coefficient(k) u^k from the exact coefficient
+    rule; float mode rounds each value once."""
+    coeffs = [0] + [coefficient(k) for k in range(1, max_degree + 1)]
+    vec = np.array(coeffs, dtype=object) if exact else np.array([complex(c) for c in coeffs])
+    return ScalarSeries(1, max_degree, vec)
+
+
 def log1p_series(max_degree: int, exact: bool = False) -> ScalarSeries:
     """log(1+u) = sum (-1)^{k+1} u^k / k."""
-    terms = {}
-    for k in range(1, max_degree + 1):
-        terms[(k,)] = Fraction((-1) ** (k + 1), k) if exact \
-            else complex((-1) ** (k + 1)) / k
-    return ScalarSeries.from_terms(1, max_degree, terms)
+    return _series_1d(max_degree, exact, lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def neg_log1m_series(max_degree: int, exact: bool = False) -> ScalarSeries:
     """-log(1-u) = sum u^k / k."""
-    terms = {}
-    for k in range(1, max_degree + 1):
-        terms[(k,)] = Fraction(1, k) if exact else 1.0 / k
-    return ScalarSeries.from_terms(1, max_degree, terms)
+    return _series_1d(max_degree, exact, lambda k: Fraction(1, k))
 
 
 def ratio_series(max_degree: int, exact: bool = False) -> ScalarSeries:
     """u/(1+u) = sum (-1)^{k+1} u^k."""
-    terms = {}
-    for k in range(1, max_degree + 1):
-        sign = (-1) ** (k + 1)
-        terms[(k,)] = sign if exact else complex(sign)
-    return ScalarSeries.from_terms(1, max_degree, terms)
+    return _series_1d(max_degree, exact, lambda k: (-1) ** (k + 1))
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,13 @@ def _numbers(values, name: str) -> tuple[float, ...]:
 
 
 def _embed_1d(series_1d: ScalarSeries, dim: int, coordinate: int) -> ScalarSeries:
-    """Substitute the single variable by coordinate `coordinate` of C^dim."""
-    terms = {}
-    for (e,), c in series_1d.terms.items():
-        exps = [0] * dim
-        exps[coordinate] = e
-        terms[tuple(exps)] = c
-    return ScalarSeries.from_terms(dim, series_1d.max_degree, terms)
+    """Substitute the single variable by coordinate `coordinate` of C^dim:
+    the 1-d vector is written at the graded indices of 1, x_c, x_c^2, ..,
+    the basis rows whose whole degree sits in coordinate c."""
+    exps = graded_exponents(dim, series_1d.max_degree)
+    vec = np.zeros(len(exps), dtype=series_1d.vec.dtype)
+    vec[exps[:, coordinate] == exps.sum(axis=1)] = series_1d.vec
+    return ScalarSeries(dim, series_1d.max_degree, vec)
 
 
 def lift_1d(a: ScalarSeries, c: ScalarSeries | None, dim: int,
@@ -211,20 +209,14 @@ def _hermite_rho(spec: FamilySpec, exact: bool) -> ScalarSeries:
     terms = {}
     for i in range(d):
         for j in range(i, d):
-            val = cov[i, j]
-            if val == 0:
+            if cov[i, j] == 0:
                 continue
             exps = [0] * d
             exps[i] += 1
             exps[j] += 1
-            if exact:
-                frac = Fraction(val)
-                coeff = frac / 2 if i == j else frac
-            else:
-                coeff = val / 2.0 if i == j else complex(val)
-            terms[tuple(exps)] = coeff
-    quad = ScalarSeries.from_terms(d, n, terms)
-    return ps_exp(quad)
+            coeff = Fraction(cov[i, j]) / (2 if i == j else 1)
+            terms[tuple(exps)] = coeff if exact else complex(coeff)
+    return ps_exp(ScalarSeries.from_terms(d, n, terms))
 
 
 def make_family(spec: FamilySpec, exact: bool = False

@@ -12,16 +12,18 @@ operation to exact rational arithmetic; nothing else changes.  There is no
 epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 
 Multiplication has one routine for both kinds of vector: a cached table maps
-a pair of graded indices to the index of the product monomial, and the
-products of the operands' nonzero entries are accumulated into the output.
+a pair of graded indices to the index of the product monomial, one pair
+gather keeps the pairs of nonzero entries whose product lands in a band of
+the output, and their products are accumulated into it.
 Exact vectors are multiplied as integer numerators over one common
 denominator per operand, with one normalisation per output entry instead of
 a gcd for every product and every sum.  This is exact coefficient
 arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
 and the reciprocal are degree recurrences in the Euler operator
-E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) over the same table, each
-degree part computed once from the lower ones.  Composition is
-Horner's scheme over these products, and the compositional inverse is Newton
+E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather, each
+degree part computed once from the lower ones.  Composition is Horner's
+scheme (4.6.4) over these products on the nonzero graded indices, grouped
+by one exponent at a time, and the compositional inverse is Newton
 doubling on top of composition and the partial derivative `ps_derivative`.
 """
 
@@ -421,6 +423,15 @@ def _over_common_denominator(vec: np.ndarray) -> tuple[np.ndarray, int]:
                     dtype=object), den
 
 
+def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
+           lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major (rows, cols, targets) of the pairs (ia[rows], ib[cols]) whose
+    product monomial has its graded index, the target, in [lo, hi)."""
+    targets = _product_table(dim, order)[np.ix_(ia, ib)]
+    rows, cols = np.nonzero((targets >= lo) & (targets < hi))
+    return rows, cols, targets[rows, cols]
+
+
 def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
                 ib: np.ndarray, vb: np.ndarray, mul) -> np.ndarray:
     """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
@@ -429,14 +440,13 @@ def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
     order of ia.  Exact operands are multiplied as integer numerators over
     one common denominator each, and each nonzero output entry is reduced
     once: it stays an int where that denominator is 1."""
-    targets = _product_table(dim, order)[np.ix_(ia, ib)]
-    rows, cols = np.nonzero(targets >= 0)
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, graded_size(dim, order))
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
     if va.dtype != object or vb.dtype != object:
-        np.add.at(out, targets[rows, cols], mul(va[rows], vb[cols]))
+        np.add.at(out, targets, mul(va[rows], vb[cols]))
         return out
     (na, da), (nb, db) = _over_common_denominator(va), _over_common_denominator(vb)
-    np.add.at(out, targets[rows, cols], na[rows] * nb[cols])
+    np.add.at(out, targets, na[rows] * nb[cols])
     den = da * db
     if den != 1:
         nonzero = np.flatnonzero(out)
@@ -479,16 +489,15 @@ def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
     divided by n when `divide`.  At degree n the nonzero entries of c of
     degree 1..n meet the entries of f below degree n, and only the products
     that land in degree n are kept."""
-    table, deg = _product_table(c.dim, c.max_degree), _degrees(c)
+    deg = _degrees(c)
     ic = np.flatnonzero(c.vec[1:]) + 1
     f = np.zeros_like(c.vec)
     f[0] = 1
     for n in range(1, c.max_degree + 1):
         lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
         ia, ib = ic[ic < hi], np.flatnonzero(f[:lo])
-        targets = table[np.ix_(ia, ib)]
-        rows, cols = np.nonzero((targets >= lo) & (targets < hi))
-        np.add.at(f, targets[rows, cols], c.vec[ia[rows]] * f[ib[cols]])
+        rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, lo, hi)
+        np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
         if divide:
             f[lo:hi] /= deg[lo]
     return ScalarSeries(c.dim, c.max_degree, f)
@@ -530,10 +539,10 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
 
     `f` is a series in g.dim_out variables; the result is a series in
     g.dim_in variables.  Evaluation is Horner-style, variable by variable:
-    f is grouped by the exponent of its last variable and the groups are
-    folded with one ring multiplication per exponent step, recursing on the
-    remaining variables.  Substituted components must have zero constant
-    term so that truncation is coherent.
+    f's nonzero graded indices are grouped by the exponent of the last
+    variable and the groups are folded with one ring multiplication per
+    exponent step, recursing on the remaining variables.  Substituted
+    components must have zero constant term so that truncation is coherent.
     """
     if f.dim != g.dim_out:
         raise ValueError(f"dimension mismatch: f has {f.dim} vars, g maps into {g.dim_out}")
@@ -544,28 +553,23 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
     dim = g.dim_in
     comps = [c.truncate(min(n, c.max_degree)) for c in g.components]
     zero = ScalarSeries.zero(dim, n)
+    exps = graded_exponents(f.dim, f.max_degree)
 
-    def rec(terms: dict[tuple[int, ...], object], var: int) -> ScalarSeries:
-        if not terms:
-            return zero
+    def rec(idx: np.ndarray, var: int) -> ScalarSeries:
+        """f's terms at graded indices `idx` with the variables after `var` set to 1."""
         if var < 0:
-            const = terms.get((0,) * f.dim, 0)
-            return ScalarSeries.constant(dim, n, const) if const != 0 else zero
-        groups: dict[int, dict] = {}
-        for exps, c in terms.items():
-            e = exps[var]
-            reduced = exps[:var] + (0,) + exps[var + 1:]
-            groups.setdefault(e, {})[reduced] = c
+            return ScalarSeries.constant(dim, n, f.vec[idx[0]])
+        power = exps[idx, var]
         acc = zero
-        for e in range(max(groups), -1, -1):
+        for e in range(power.max(initial=0), -1, -1):
             if not acc.is_zero:
                 acc = ps_mul(acc, comps[var])
-            sub = groups.get(e)
-            if sub:
-                acc = acc + rec(sub, var - 1)
+            group = idx[power == e]
+            if len(group):
+                acc = acc + rec(group, var - 1)
         return acc
 
-    return rec(f.terms, f.dim - 1)
+    return rec(np.flatnonzero(f.vec), f.dim - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -206,7 +206,9 @@ def apply_slot_map(phi: SymCoeff, matrix: np.ndarray) -> SymCoeff:
         vec[1:d + 1] = m[::-1, j]  # the degree-1 monomials run x_d, .., x_1
         comps.append(ScalarSeries(d, phi.degree, vec))
     sub = VectorSeries.from_components(comps)
-    series = ScalarSeries.from_terms(d, phi.degree, phi.coeffs)
+    vec = np.zeros(graded_size(d, phi.degree), dtype=phi.vec.dtype)
+    vec[phi._lo:] = phi.vec
+    series = ScalarSeries(d, phi.degree, vec)
     return SymCoeff(d, phi.degree, ps_compose(series, sub).degree_part(phi.degree))
 
 

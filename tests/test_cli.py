@@ -8,6 +8,7 @@ import pytest
 
 from shefferkit.cli import main
 from shefferkit.engine import PolynomialOnDual, load_sequence, sheffer_apply
+from shefferkit.series import VectorSeries
 
 from conftest import coeff_column_1d
 
@@ -511,9 +512,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["--kind", "hermite"], ["--kind", "falling"], ["--kind", "charlier"],
-        ["--kind", "laguerre"], ["--kind", "custom", "--a", "identity"]],
-        ids=["hermite", "falling", "charlier", "laguerre", "custom-identity"])
+        ["--kind", "laguerre"], ["--kind", "custom", "--a", "identity"],
+        ["--kind", "custom", "--a", "FILE"]],
+        ids=["hermite", "falling", "charlier", "laguerre", "custom-identity", "custom-file"])
     def test_max_degree_zero_rejected(self, tmp_path, capsys, args):
+        # FILE stands for a valid series file: the identity map at degree 4
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps(VectorSeries.identity(1, 4).to_json_dict()), encoding="utf-8")
+        args = [a_file if arg == "FILE" else arg for arg in args]
         out = tmp_path / "seq.json"
         assert run(["family", *args, "--max-degree", 0, "--out", out]) == 2
         err = capsys.readouterr().err

@@ -78,12 +78,13 @@ class TestHermite:
         assert rho.coefficient((1,)) == 0 and rho.coefficient((3,)) == 0
 
     def test_quadratic_form_with_covariance(self):
-        cov = ((2.0, 1.0), (1.0, 2.0))
+        cov = ((2.0, 0.3), (0.3, 1.7))
         _, rho = make_family(FamilySpec("hermite", 2, 4, cov=cov))
-        # degree-2 part of exp is the quadratic form itself
-        assert abs(complex(rho.coefficient((2, 0))) - 1.0) <= 1e-14
-        assert abs(complex(rho.coefficient((1, 1))) - 1.0) <= 1e-14
-        assert abs(complex(rho.coefficient((0, 2))) - 1.0) <= 1e-14
+        # degree-2 part of exp is the quadratic form itself, each entry the
+        # exact covariance entry (halved on the diagonal) rounded once
+        assert rho.coefficient((2, 0)) == complex(F(2.0) / 2)
+        assert rho.coefficient((1, 1)) == complex(F(0.3))
+        assert rho.coefficient((0, 2)) == complex(F(1.7) / 2)
 
     def test_even_structure_matches_symmetrized_powers(self):
         # rho^(2k) = Delta^{(.)k} / (k! 2^k) with Delta the quadratic kernel
@@ -206,6 +207,19 @@ class TestBaseSeries:
     def test_ratio(self):
         s = ratio_series(5, exact=True)
         assert [s.coefficient((k,)) for k in range(1, 6)] == [1, -1, 1, -1, 1]
+
+    @pytest.mark.parametrize("builder", [log1p_series, neg_log1m_series, ratio_series])
+    def test_float_is_exact_rounded_once(self, builder):
+        assert builder(40).vec.tobytes() == builder(40, exact=True).vec.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("kind", ["falling", "rising", "charlier", "laguerre"])
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 8), (3, 6)])
+    def test_float_a_is_exact_rounded_once(self, kind, dim, order):
+        spec = FamilySpec(kind, dim, order, k=2.0)
+        a_float, _ = make_family(spec)
+        a_exact, _ = make_family(spec, exact=True)
+        for cf, ce in zip(a_float.components, a_exact.components, strict=True):
+            assert cf.vec.tobytes() == ce.vec.astype(complex).tobytes()
 
     def test_rising_is_mirror_of_falling(self):
         # -log(1-u) and log(1+u) differ by alternating signs

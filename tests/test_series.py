@@ -291,6 +291,23 @@ class TestCompose:
             g = random_unit_linear(dim, 6, rng, decay=2.0)
             assert series_diff(ps_compose(f, g), naive_compose(f, g)) <= 1e-12
 
+    @pytest.mark.parametrize("f_dim, g_dim", [(1, 1), (2, 2), (3, 3), (2, 3), (1, 2), (3, 1)])
+    def test_exact_against_naive_powering(self, rng, f_dim, g_dim):
+        # f has gaps and leaves its first variable out when it has more than
+        # one; g is not square where the dims differ
+        order = 5
+
+        def sparse(dim, lowest, skip_first):
+            terms = {b: F(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                     for deg in range(lowest, order + 1) for b in monomial_basis(dim, deg)
+                     if rng.random() < 0.5 and not (skip_first and b[0])}
+            return ScalarSeries.from_terms(dim, order, terms)
+
+        f = sparse(f_dim, 0, f_dim > 1)
+        g = VectorSeries.from_components(sparse(g_dim, 1, False) for _ in range(f_dim))
+        assert f.exact and g.exact and not f.is_zero
+        assert ps_compose(f, g) == naive_compose(f, g)
+
     def test_nonzero_inner_constant_rejected(self):
         with pytest.raises(ValueError):
             VectorSeries.from_scalar_1d(ScalarSeries.from_coeffs_1d([0.5, 1], 4))
