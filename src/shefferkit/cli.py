@@ -191,9 +191,11 @@ def _resolve_sequence(cfg: RunConfig) -> ShefferSequence:
 def _emit_report(cfg: RunConfig, doc: dict, fieldnames: list[str],
                  rows: list[dict]) -> None:
     """Write `doc` as JSON (sorted keys, indent 2), or `rows` as CSV under a
-    header row with every float written as its repr."""
+    header row with every float written as its repr.  The rows hold values of
+    `doc`; a NaN or Infinity in it raises a ValueError, and nothing is written."""
     if not cfg.out:
         raise ValueError("--out is required for report commands")
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
@@ -201,8 +203,6 @@ def _emit_report(cfg: RunConfig, doc: dict, fieldnames: list[str],
         writer.writerows({k: repr(float(v)) if isinstance(v, float) else v
                           for k, v in row.items()} for row in rows)
         text = buf.getvalue()
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -620,7 +620,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        with np.errstate(all="ignore"):  # a value out of range ends in one line, below
+            return _COMMANDS[cfg.command](cfg)
     except DegreeOverflowError as exc:
         print(f"degree overflow: {exc}", file=sys.stderr)
         return EXIT_DEGREE

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .series import (
     VectorSeries,
     graded_exponents,
     graded_size,
-    monomial_basis,
     monomial_values,
     vs_inverse,
 )
@@ -40,8 +38,9 @@ from .symtensor import (
     SymCoeff,
     WeightedInnerProduct,
     _weighted,
-    apply_slot_map,
+    column_norms,
     norm_weights,
+    slot_matrix,
     sym_dual_norm,
     sym_norm,
 )
@@ -190,20 +189,11 @@ def coeff_norm(p: PolynomialOnDual, g: GradedNorm) -> float:
     return total
 
 
-def _column_norms(mat: np.ndarray, dim: int, degree: int, weight) -> np.ndarray:
-    """sym_norm of every column of a matrix over monomial_basis(dim, degree),
-    with the terms added in basis order as sym_norm adds them."""
-    m = np.asarray(mat, dtype=complex)
-    if _weighted(dim, weight):
-        m = _slot_matrix(weight, degree) @ m
-    return np.sqrt((norm_weights(dim, degree)[:, None] * np.abs(m) ** 2).sum(axis=0))
-
-
 def _image_norms(seq: ShefferSequence, n: int, g: GradedNorm, low: int = 0) -> np.ndarray:
     """coeff_norm of the degree-low..n parts of S w^gamma for every gamma of
     degree n: the degree-k part is column gamma of the block V[k, n].  With
     low = n this is coeff_norm(w^gamma, g), the top block being the identity."""
-    return sum(_degree_scale(k, g) * _column_norms(seq.blocks[(k, n)], seq.dim, k, g.weight)
+    return sum(_degree_scale(k, g) * column_norms(seq.blocks[(k, n)], seq.dim, k, g.weight)
                for k in range(low, n + 1))
 
 
@@ -364,22 +354,13 @@ def graded_block_norms(vec: VectorSeries, weight: WeightedInnerProduct | None = 
         mat = np.stack([np.asarray(comp.degree_part(k), dtype=complex)
                         for comp in vec.components]) * scale
         if _weighted(d, weight):
-            dom = _slot_matrix(weight, k)
+            dom = slot_matrix(weight, k)
             mat = weight.primal_slot_map() @ mat @ np.linalg.inv(scale[:, None] * dom / scale)
+        if not np.isfinite(mat).all():
+            raise ValueError(f"graded block of degree {k} leaves the double range; "
+                             f"lower max_degree below {k}")
         out.append((k, float(np.linalg.norm(mat, 2))))
     return out
-
-
-@lru_cache(maxsize=64)
-def _slot_matrix(weight: WeightedInnerProduct, degree: int) -> np.ndarray:
-    """Read-only matrix of the weight's primal slot map on the degree-k
-    coefficient space; cached per weight object."""
-    d = weight.dim
-    units = np.eye(len(monomial_basis(d, degree)), dtype=complex)
-    mat = np.stack([apply_slot_map(SymCoeff(d, degree, e), weight.primal_slot_map()).vec
-                    for e in units], axis=1)
-    mat.flags.writeable = False
-    return mat
 
 
 def _envelope(norms: list[tuple[int, float]]) -> float:

@@ -558,7 +558,10 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
     def rec(idx: np.ndarray, var: int) -> ScalarSeries:
         """f's terms at graded indices `idx` with the variables after `var` set to 1."""
         if var < 0:
-            return ScalarSeries.constant(dim, n, f.vec[idx[0]])
+            value = f.vec[idx[0]]
+            leaf = np.zeros(graded_size(dim, n), dtype=object if _is_exact(value) else complex)
+            leaf[0] = value
+            return ScalarSeries(dim, n, leaf)
         power = exps[idx, var]
         acc = zero
         for e in range(power.max(initial=0), -1, -1):

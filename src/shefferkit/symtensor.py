@@ -20,8 +20,9 @@ Tensors on the primal (test function) side and on the dual side share this
 one representation; at finite d the spaces coincide and only the weight
 convention differs.  Under a weighted inner product with Cholesky factor L
 (W = L L^H), primal tensors are measured after the slot map L^H and dual
-tensors after conj(L^{-1}); both reduce to the identity-weight formulas
-after a linear substitution of the coefficients.
+tensors after conj(L^{-1}), each a cached matrix `slot_matrix` on the
+coefficients; `column_norms` is the one routine that turns coefficients
+into Hilbert norms.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ __all__ = [
     "SymCoeff",
     "WeightedInnerProduct",
     "apply_slot_map",
+    "slot_matrix",
+    "column_norms",
     "sym_norm",
     "sym_dual_norm",
     "sym_product",
@@ -212,26 +215,47 @@ def apply_slot_map(phi: SymCoeff, matrix: np.ndarray) -> SymCoeff:
     return SymCoeff(d, phi.degree, ps_compose(series, sub).degree_part(phi.degree))
 
 
-def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float:
-    """Hilbert norm of the symmetric tensor, sqrt(sum (beta!/n!) |c_beta|^2).
+@lru_cache(maxsize=64)
+def slot_matrix(weight: WeightedInnerProduct, degree: int, dual: bool = False) -> np.ndarray:
+    """Read-only matrix of the weight's primal (or dual) slot map on the
+    degree-`degree` coefficient space; cached per weight object."""
+    d, slot = weight.dim, weight.dual_slot_map() if dual else weight.primal_slot_map()
+    units = np.eye(len(monomial_basis(d, degree)), dtype=complex)
+    mat = np.stack([apply_slot_map(SymCoeff(d, degree, e), slot).vec for e in units], axis=1)
+    mat.flags.writeable = False
+    return mat
 
-    Non-identity weights are handled by pushing the Cholesky slot map into
-    the coefficients once, then applying the identity formula.  Pass
-    `dual=True` semantics by supplying the weight built for the dual side.
-    """
-    work = apply_slot_map(phi, weight.primal_slot_map()) if _weighted(phi.dim, weight) else phi
-    total = 0.0
-    for weight, c in zip(norm_weights(work.dim, work.degree).tolist(),
-                         np.asarray(work.vec, dtype=complex).tolist()):
-        if c:
-            total += weight * abs(c) ** 2
-    return math.sqrt(total)
+
+def column_norms(mat, dim: int, degree: int, weight: WeightedInnerProduct | None = None,
+                 dual: bool = False) -> np.ndarray:
+    """Hilbert norm sqrt(sum (beta!/n!) |c_beta|^2) of every column of a matrix
+    over monomial_basis(dim, degree) after the weight's slot map, the terms added
+    in basis order.  A column whose squares overflow while its entries are finite
+    is summed again scaled by its largest modulus, as LAPACK's nrm2 scales."""
+    m = np.asarray(mat, dtype=complex)
+    if _weighted(dim, weight):
+        m = slot_matrix(weight, degree, dual) @ m
+    mod, weights = np.abs(m), norm_weights(dim, degree)[:, None]
+    if mod.max(initial=0.0) < 2.0 ** 480:  # no sum of < 2**60 such squares overflows
+        return np.sqrt(np.cumsum(weights * mod ** 2, axis=0)[-1])
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.cumsum(weights * mod ** 2, axis=0)[-1])
+    redo = np.isinf(out) & np.isfinite(mod).all(axis=0)
+    if redo.any():
+        top = mod[:, redo].max(axis=0)
+        out[redo] = top * np.sqrt(np.cumsum(weights * (mod[:, redo] / top) ** 2, axis=0)[-1])
+    return out
+
+
+def sym_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float:
+    """Hilbert norm of the symmetric tensor, sqrt(sum (beta!/n!) |c_beta|^2),
+    after the weight's primal slot map."""
+    return float(column_norms(phi.vec[:, None], phi.dim, phi.degree, weight)[0])
 
 
 def sym_dual_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> float:
     """Norm of a dual-side tensor (inverse weight convention)."""
-    work = apply_slot_map(phi, weight.dual_slot_map()) if _weighted(phi.dim, weight) else phi
-    return sym_norm(work, None)
+    return float(column_norms(phi.vec[:, None], phi.dim, phi.degree, weight, dual=True)[0])
 
 
 def sym_product(a: SymCoeff, b: SymCoeff) -> SymCoeff:

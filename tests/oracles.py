@@ -6,7 +6,9 @@ integer products, three-term recurrences, finite combinatorial sums, dense
 tensor algebra via numpy, and triangular solves.  The norm-check oracles
 take the long way round instead: one full graded apply per monomial, and
 one polynomial evaluation per sampled point.  The graded apply oracle takes
-the built blocks and multiplies them one (k, n) pair at a time.
+the built blocks and multiplies them one (k, n) pair at a time, and the
+binomial-identity oracle convolves the built P_n one symmetric product at a
+time.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from shefferkit.engine import PolynomialOnDual, ShefferSequence, sheffer_apply
+from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
 from shefferkit.series import (ScalarSeries, VectorSeries, graded_size, monomial_basis, ps_mul,
                                vs_compose)
-from shefferkit.symtensor import SymCoeff
+from shefferkit.symtensor import SymCoeff, sym_norm, sym_product
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -277,6 +279,30 @@ def pointwise_sup(p: PolynomialOnDual, g: GradedNorm, directions: int, points: i
             damp = math.exp(-(2.0 ** (-g.level)) * r ** g.alpha)
             best = max(best, abs(p.evaluate(r * u)) * damp)
     return best
+
+
+# -- binomial-identity oracle -----------------------------------------------------
+
+
+def binomial_convolution(seq: ShefferSequence, trials: int, rng: np.random.Generator,
+                         top: int) -> dict[int, float]:
+    """binomial_check's per-degree deviations by the direct convolution
+    P_n(w + z) = sum_k C(n, k) P_k(w) (.) P_{n-k}(z), one symmetric product
+    per pair (k, n - k), with the points drawn as binomial_check draws them."""
+    per_degree = {n: 0.0 for n in range(1, top + 1)}
+    for _ in range(trials):
+        w = _random_point(seq.dim, rng)
+        z = _random_point(seq.dim, rng)
+        at_w = [seq.polynomial_tensor(k, w) for k in range(top + 1)]
+        at_z = [seq.polynomial_tensor(k, z) for k in range(top + 1)]
+        for n in range(1, top + 1):
+            lhs = seq.polynomial_tensor(n, [a + b for a, b in zip(w, z)])
+            rhs = SymCoeff.zero(seq.dim, n)
+            for k in range(n + 1):
+                rhs = rhs + sym_product(at_w[k], at_z[n - k]).scale(float(math.comb(n, k)))
+            scale = max(1.0, sym_norm(lhs), sym_norm(rhs))
+            per_degree[n] = max(per_degree[n], sym_norm(lhs - rhs) / scale)
+    return per_degree
 
 
 # -- random generators ------------------------------------------------------------

@@ -2,19 +2,32 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shefferkit.cli import main
 from shefferkit.engine import PolynomialOnDual, load_sequence, sheffer_apply
-from shefferkit.series import VectorSeries
+from shefferkit.series import ScalarSeries, VectorSeries
+from shefferkit.symtensor import SymCoeff
 
 from conftest import coeff_column_1d
+from oracles import falling_coeffs
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def finite_json(path):
+    """The JSON document at `path`; a NaN or Infinity in it fails the test."""
+    def reject(name):
+        raise AssertionError(f"{name} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def monomial_file(tmp_path, name, dim, exps):
@@ -60,6 +73,15 @@ class TestFamilyCommand:
         out = tmp_path / "lag.json"
         assert run(["family", "--spec", spec, "--out", out]) == 0
         assert load_sequence(out).max_degree == 6
+
+    def test_norms_whose_squares_overflow(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(ScalarSeries.from_coeffs_1d([1.0, 1e200]).to_json_dict()),
+                       encoding="utf-8")
+        assert run(["family", "--kind", "custom", "--a", "identity", "--rho", rho,
+                    "--max-degree", 1, "--out", tmp_path / "seq.json"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.split() == ["1", "1", "1.000000000000e+200", "1.000000000000e+200"]
 
     def test_no_blocks_file_loads(self, tmp_path):
         out = tmp_path / "slim.json"
@@ -149,6 +171,30 @@ class TestReportCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "degree,ratio,norm_num,norm_den"
         assert len(lines) == 9
+
+    def test_falling_ratios_past_square_range(self, tmp_path):
+        # Stirling numbers past 1e154 square out of the double range
+        bounds, sweep = tmp_path / "b.json", tmp_path / "d.json"
+        assert run(["bounds", "--kind", "falling", "--max-degree", 100, "--out", bounds]) == 0
+        assert run(["diverge", "--kind", "falling", "--max-degree", 120, "--alpha", 2,
+                    "--degrees", "1:120", "--out", sweep]) == 0
+        doc = finite_json(bounds)
+        assert doc["passed"] and doc["measured"] == 1.0
+        level = doc["params"]["l_prime"]
+        for row in doc["per_degree"]:
+            n = row["degree"]
+            stirling = [abs(s) for s in falling_coeffs(n)]
+            exact = Fraction(sum(math.factorial(k) * s for k, s in enumerate(stirling)),
+                             math.factorial(n) * 2 ** (level * n))
+            assert abs(row["max_ratio"] - exact) <= 1e-14 * exact, n
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for row in finite_json(sweep)["rows"]:
+                n = row["degree"]
+                stirling = [abs(s) for s in falling_coeffs(n)]
+                exact = sum(Decimal(math.factorial(k)).sqrt() * s for k, s in enumerate(stirling))
+                exact /= Decimal(math.factorial(n)).sqrt()
+                assert abs(Decimal(row["ratio"]) - exact) <= Decimal("1e-14") * exact, n
 
     def test_probe_report(self, tmp_path):
         out = tmp_path / "probe.json"
@@ -525,6 +571,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "max_degree must be at least 1, got 0" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_values_past_double_range(self, tmp_path, capsys, fmt):
+        # each ends in one line on stderr: no warning, no file, no verdict
+        big = PolynomialOnDual.from_coeffs(1, [SymCoeff.from_coeffs(1, n, {(n,): 1e308 - 1e308j})
+                                               for n in range(7)])
+        poly = tmp_path / "big.json"
+        poly.write_text(json.dumps(big.to_json_dict()), encoding="utf-8")
+        maps = {}
+        for name, coeffs in (("a300", [0, 1.0, 1e300, 0]), ("a307", [0, 1.0, 2.5e307, 2.5e307])):
+            maps[name] = tmp_path / f"{name}.json"
+            a = VectorSeries.from_scalar_1d(ScalarSeries.from_coeffs_1d(coeffs))
+            maps[name].write_text(json.dumps(a.to_json_dict()), encoding="utf-8")
+        transform = ["--kind", "falling", "--max-degree", 6, "--input", poly]
+        cases = [(["expand", *transform], "coefficients of degree 1 leave the double range"),
+                 (["apply", *transform], "coefficients of degree 1 leave the double range"),
+                 (["roundtrip", *transform], "coefficients of degree 1 leave the double range"),
+                 (["probe", "--kind", "custom", "--a", maps["a300"], "--max-degree", 3],
+                  "graded block of degree 3 leaves the double range"),
+                 (["diverge", "--kind", "custom", "--a", maps["a307"], "--max-degree", 3,
+                   "--alpha", 2, "--degrees", "1:3"], "Out of range float values")]
+        out = tmp_path / f"report.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args, named in cases:
+                assert run([*args, "--format", fmt, "--out", out]) == 2, args
+                captured = capsys.readouterr()
+                assert named in captured.err and captured.err.count("\n") == 1, args
+                assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, capsys, trials):

@@ -13,6 +13,7 @@ from shefferkit.engine import (
     SEQUENCE_FORMAT,
     DegreeOverflowError,
     PolynomialOnDual,
+    ShefferSequence,
     binomial_check,
     build_basic,
     build_sheffer,
@@ -39,6 +40,7 @@ from shefferkit.symtensor import SymCoeff, sym_contract, sym_norm, sym_product
 from conftest import coeff_column_1d, poly_abs_diff, poly_scale, random_polynomial_sparse
 from oracles import (
     apply_by_blocks,
+    binomial_convolution,
     charlier_coeffs,
     dense_pair,
     dict_product,
@@ -446,6 +448,32 @@ class TestBinomial:
         seq = hermite_seq(4, exact=False)
         with pytest.raises(ValueError):
             binomial_check(seq)
+
+    @pytest.mark.parametrize("kind", ["falling", "rising"])
+    @pytest.mark.parametrize("dim,order", [(1, 8), (2, 6), (3, 4)])
+    def test_against_convolution_oracle(self, kind, dim, order):
+        seq = build_sheffer(*make_family(FamilySpec(kind, dim, order)), order)
+        rep = binomial_check(seq, trials=6, rng=np.random.default_rng(dim))
+        want = binomial_convolution(seq, 6, np.random.default_rng(dim), order)
+        assert max(abs(rep.per_degree[n] - want[n]) for n in want) <= 1e-13
+
+    def test_random_basic_against_convolution_oracle(self, rng):
+        seq = build_basic(random_unit_linear(2, 5, rng, decay=2.0), 5)
+        rep = binomial_check(seq, trials=6, rng=np.random.default_rng(6))
+        want = binomial_convolution(seq, 6, np.random.default_rng(6), 5)
+        assert max(abs(rep.per_degree[n] - want[n]) for n in want) <= 1e-13
+
+    def test_perturbed_matrix_is_detected(self):
+        # a constant term 1e-6 in P_{(0,2)} breaks the identity at degree 2
+        seq = build_sheffer(*make_family(FamilySpec("falling", 2, 5)), 5)
+        mat = seq.matrix.copy()
+        mat[0, graded_size(2, 1)] += 1e-6
+        bad = ShefferSequence(2, 5, mat, seq.blocks, seq.a, seq.rho, seq.theta_series,
+                              seq.kappa_series, seq.exact)
+        rep = binomial_check(bad, trials=4, rng=np.random.default_rng(7))
+        want = binomial_convolution(bad, 4, np.random.default_rng(7), 5)
+        assert rep.max_deviation >= 1e-8 and max(want.values()) >= 1e-8
+        assert max(abs(rep.per_degree[n] - want[n]) for n in want) <= 1e-13
 
 
 def theta_route_apply(basic, thetas, p):

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shefferkit.engine import build_sheffer
 from shefferkit.series import monomial_basis
 from shefferkit.symtensor import (
     SymCoeff,
     WeightedInnerProduct,
     apply_slot_map,
+    column_norms,
     from_dense,
     sym_contract,
     sym_dual_norm,
@@ -19,7 +21,7 @@ from shefferkit.symtensor import (
     to_dense,
 )
 
-from oracles import dense_contract, dense_pairing, dense_sym_product
+from oracles import dense_contract, dense_pair, dense_pairing, dense_sym_product
 
 
 def random_symcoeff(dim, degree, rng):
@@ -48,6 +50,15 @@ class TestNorm:
             n = int(rng.integers(0, 5))
             phi = random_symcoeff(d, n, rng)
             assert abs(sym_norm(phi) - np.linalg.norm(to_dense(phi).ravel())) <= 1e-12
+
+    @pytest.mark.parametrize("dim,order", [(2, 6), (3, 4), (4, 3)])
+    def test_tensor_norm_is_block_column_norm(self, dim, order):
+        # the norms the bounds and diverge checks read, bit for bit
+        seq = build_sheffer(*dense_pair(dim, order, np.random.default_rng(dim)), order)
+        for (k, n), block in seq.blocks.items():
+            want = column_norms(block, dim, k).tolist()
+            assert [sym_norm(SymCoeff(dim, k, block[:, j].copy()))
+                    for j in range(block.shape[1])] == want, (k, n)
 
 
 class TestProduct:
