@@ -13,8 +13,11 @@ epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 
 Multiplication has one routine for both kinds of vector: a cached table maps
 a pair of graded indices to the index of the product monomial, one pair
-gather keeps the pairs of nonzero entries whose product lands in a band of
-the output, and their products are accumulated into it.
+gather forms only the pairs of nonzero entries whose product lands in a band
+of degrees of the output, and their products are accumulated into it.
+Because the basis is graded, the partners of one entry in a sorted index set
+are one contiguous run of it, found by binary search, so a product truncated
+at N never forms the pairs whose degree passes N.
 Exact vectors are multiplied as integer numerators over one common
 denominator per operand, with one normalisation per output entry instead of
 a gcd for every product and every sum.  This is exact coefficient
@@ -402,17 +405,30 @@ def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
 @lru_cache(maxsize=4)
 def _product_table(dim: int, order: int) -> np.ndarray:
     """T[i, j] = graded index of x^(e_i + e_j) for the graded indices i, j of
-    degree <= order; -1 where the product's degree passes `order`."""
+    degree <= order; -1 where the product's degree passes `order`.  A
+    monomial's key is its exponents as digits in radix order + 1; wherever the
+    product's degree is <= order no digit carries, so the key of the product
+    is the sum of the keys."""
     exps = graded_exponents(dim, order)
-    radix = (order + 1) ** np.arange(dim, dtype=np.int64)
-    keys = exps @ radix
+    keys = exps @ (order + 1) ** np.arange(dim, dtype=np.int64)
     by_key = np.argsort(keys)
-    pos = np.searchsorted(keys[by_key], (exps[:, None, :] + exps[None, :, :]) @ radix)
+    pos = np.searchsorted(keys[by_key], keys[:, None] + keys[None, :])
+    table = by_key[pos.clip(max=len(keys) - 1, out=pos)]
     degrees = exps.sum(axis=1)
-    table = np.where(degrees[:, None] + degrees[None, :] <= order,
-                     by_key[pos.clip(max=len(keys) - 1)], -1)
+    table[degrees[:, None] + degrees[None, :] > order] = -1
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _room_starts(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(room, starts) over the graded basis of degree <= order: room[i] is
+    order minus the degree of graded index i, and starts[order + k] is the
+    graded index at which degree k begins, for k in -order..order + 1 (0 for
+    k <= 0, the basis size for k = order + 1)."""
+    room = order - graded_exponents(dim, order).sum(axis=1)
+    starts = np.array([graded_size(dim, k - 1) for k in range(-order, order + 2)])
+    return room, starts
 
 
 def _over_common_denominator(vec: np.ndarray) -> tuple[np.ndarray, int]:
@@ -425,22 +441,32 @@ def _over_common_denominator(vec: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
            lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major (rows, cols, targets) of the pairs (ia[rows], ib[cols]) whose
-    product monomial has its graded index, the target, in [lo, hi)."""
-    targets = _product_table(dim, order)[np.ix_(ia, ib)]
-    rows, cols = np.nonzero((targets >= lo) & (targets < hi))
-    return rows, cols, targets[rows, cols]
+    """Row-major (rows, cols, targets) of the pairs (ia[rows], ib[cols]) of
+    graded indices of degree <= order whose product monomial, at graded index
+    target, has its degree in lo..hi (0 <= lo <= hi <= order); `ib` must be
+    sorted ascending.  The partners of row r are then one run of `ib`, the
+    entries of degree lo - deg ia[r] .. hi - deg ia[r], so only the pairs
+    that are kept are ever formed."""
+    room, starts = _room_starts(dim, order)
+    shift, pos = room[ia], ib.searchsorted(starts)
+    first, end = pos[lo:][shift], pos[hi + 1:][shift]
+    counts = end - first
+    rows = np.arange(len(ia)).repeat(counts)
+    # pair k overall, in row r, is column end[r] - (pairs in rows <= r) + k
+    cols = np.arange(len(rows)) - (np.add.accumulate(counts) - end)[rows]
+    return rows, cols, _product_table(dim, order)[ia[rows], ib[cols]]
 
 
 def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
                 ib: np.ndarray, vb: np.ndarray, mul) -> np.ndarray:
     """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
-    over the pairs of entries (graded indices ia, ib), `mul` being the
-    elementwise product; the contributions to an entry are added in the
-    order of ia.  Exact operands are multiplied as integer numerators over
-    one common denominator each, and each nonzero output entry is reduced
-    once: it stays an int where that denominator is 1."""
-    rows, cols, targets = _pairs(dim, order, ia, ib, 0, graded_size(dim, order))
+    over the pairs of entries (graded indices ia, ib; ib sorted ascending)
+    whose product has degree <= order, `mul` being the elementwise product;
+    the contributions to an entry are added in the order of ia, then of ib.
+    Exact operands are multiplied as integer numerators over one common
+    denominator each, and each nonzero output entry is reduced once: it
+    stays an int where that denominator is 1."""
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, order)
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
     if va.dtype != object or vb.dtype != object:
         np.add.at(out, targets, mul(va[rows], vb[cols]))
@@ -488,7 +514,7 @@ def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
     """f with f_0 = 1 and f_n = sum_{k=1..n} c_k f_{n-k} over degree parts,
     divided by n when `divide`.  At degree n the nonzero entries of c of
     degree 1..n meet the entries of f below degree n, and only the products
-    that land in degree n are kept."""
+    that land in degree n are formed."""
     deg = _degrees(c)
     ic = np.flatnonzero(c.vec[1:]) + 1
     f = np.zeros_like(c.vec)
@@ -496,7 +522,7 @@ def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
     for n in range(1, c.max_degree + 1):
         lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
         ia, ib = ic[ic < hi], np.flatnonzero(f[:lo])
-        rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, lo, hi)
+        rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, n, n)
         np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
         if divide:
             f[lo:hi] /= deg[lo]

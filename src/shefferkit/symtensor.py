@@ -230,19 +230,24 @@ def column_norms(mat, dim: int, degree: int, weight: WeightedInnerProduct | None
                  dual: bool = False) -> np.ndarray:
     """Hilbert norm sqrt(sum (beta!/n!) |c_beta|^2) of every column of a matrix
     over monomial_basis(dim, degree) after the weight's slot map, the terms added
-    in basis order.  A column whose squares overflow while its entries are finite
-    is summed again scaled by its largest modulus, as LAPACK's nrm2 scales."""
+    in basis order.  As LAPACK's nrm2 scales, a column whose squares overflow
+    while its entries are finite, and a nonzero column whose largest modulus is
+    below 2**-480 (its squares would underflow), is summed again scaled by its
+    largest modulus."""
     m = np.asarray(mat, dtype=complex)
     if _weighted(dim, weight):
         m = slot_matrix(weight, degree, dual) @ m
     mod, weights = np.abs(m), norm_weights(dim, degree)[:, None]
-    if mod.max(initial=0.0) < 2.0 ** 480:  # no sum of < 2**60 such squares overflows
+    # every nonzero modulus in [2**-480, 2**480): no sum of < 2**60 weighted squares
+    # overflows, and for weights >= 2**-60 no weighted square underflows
+    if np.count_nonzero(mod) == np.count_nonzero((2.0 ** -480 <= mod) & (mod < 2.0 ** 480)):
         return np.sqrt(np.cumsum(weights * mod ** 2, axis=0)[-1])
     with np.errstate(over="ignore"):
         out = np.sqrt(np.cumsum(weights * mod ** 2, axis=0)[-1])
-    redo = np.isinf(out) & np.isfinite(mod).all(axis=0)
+    top = mod.max(axis=0, initial=0.0)
+    redo = (np.isinf(out) & np.isfinite(top)) | ((0 < top) & (top < 2.0 ** -480))
     if redo.any():
-        top = mod[:, redo].max(axis=0)
+        top = top[redo]
         out[redo] = top * np.sqrt(np.cumsum(weights * (mod[:, redo] / top) ** 2, axis=0)[-1])
     return out
 

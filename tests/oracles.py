@@ -3,7 +3,9 @@
 Everything here computes its result by a route that does not touch the
 library's generating-function or graded-transform machinery: explicit
 integer products, three-term recurrences, finite combinatorial sums, dense
-tensor algebra via numpy, and triangular solves.  The norm-check oracles
+tensor algebra via numpy, and triangular solves.  The product-kernel oracles
+are the first constructions of the product table and of the pair gather,
+kept to pin the faster ones entry for entry.  The norm-check oracles
 take the long way round instead: one full graded apply per monomial, and
 one polynomial evaluation per sampled point.  The graded apply oracle takes
 the built blocks and multiplies them one (k, n) pair at a time, and the
@@ -21,8 +23,8 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import (ScalarSeries, VectorSeries, graded_size, monomial_basis, ps_mul,
-                               vs_compose)
+from shefferkit.series import (ScalarSeries, VectorSeries, _product_table, graded_exponents,
+                               graded_size, monomial_basis, ps_mul, vs_compose)
 from shefferkit.symtensor import SymCoeff, sym_norm, sym_product
 
 
@@ -235,6 +237,34 @@ def fine_grid_sup_1d(poly_coeffs: list[complex], alpha: float, level: int,
             vals = vals * z + c
         best = max(best, float(np.max(np.abs(vals) * np.exp(-(2.0 ** -level) * radii ** alpha))))
     return best
+
+
+# -- product kernel oracles ------------------------------------------------------
+
+
+def exponent_sum_table(dim: int, order: int) -> np.ndarray:
+    """The product table by its first construction: the (G, G, dim) array of
+    exponent sums, each sum's radix key looked up among the basis keys; -1
+    where the product's degree passes `order`."""
+    exps = graded_exponents(dim, order)
+    radix = (order + 1) ** np.arange(dim, dtype=np.int64)
+    keys = exps @ radix
+    by_key = np.argsort(keys)
+    pos = np.searchsorted(keys[by_key], (exps[:, None, :] + exps[None, :, :]) @ radix)
+    degrees = exps.sum(axis=1)
+    return np.where(degrees[:, None] + degrees[None, :] <= order,
+                    by_key[pos.clip(max=len(keys) - 1)], -1)
+
+
+def masked_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
+                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair gather by its first construction, with the signature of
+    `series._pairs`: the full len(ia) x len(ib) slice of the product table,
+    masked to the products of degree lo..hi, in row-major order."""
+    targets = _product_table(dim, order)[np.ix_(ia, ib)]
+    rows, cols = np.nonzero((targets >= graded_size(dim, lo - 1))
+                            & (targets < graded_size(dim, hi)))
+    return rows, cols, targets[rows, cols]
 
 
 # -- graded apply oracle ----------------------------------------------------------

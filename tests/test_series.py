@@ -7,9 +7,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shefferkit import series
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    _pairs,
+    _product_table,
+    graded_size,
     monomial_basis,
     ps_compose,
     ps_derivative,
@@ -20,12 +24,15 @@ from shefferkit.series import (
     vs_compose,
     vs_inverse,
 )
+from shefferkit.symtensor import SymCoeff, sym_product
 
 from conftest import series_diff, vector_diff
 from oracles import (
     dict_product,
+    exponent_sum_table,
     geometric_recip,
     inverse_by_degree,
+    masked_pairs,
     mercator_log,
     naive_compose,
     random_series,
@@ -262,6 +269,84 @@ class TestRecurrences:
                 want = op(a).vec.astype(complex)
                 got = op(ScalarSeries(dim, order, a.vec.astype(complex))).vec
                 assert np.all(np.abs(got - want) <= 1e-13 * majorant.vec.astype(float)), op
+
+
+def index_sets(dim, order, rng):
+    """Sorted graded index sets of degree <= order: empty, single entries,
+    sparse, dense, and the monomials of one degree as `sym_product` passes
+    them (shifted by graded_size(dim, k - 1)), whole and thinned."""
+    size = graded_size(dim, order)
+    sets = [np.arange(0), np.array([0]), np.array([size - 1]),
+            np.array([int(rng.integers(size))]), np.arange(size),
+            np.flatnonzero(rng.random(size) < 0.15), np.flatnonzero(rng.random(size) < 0.6)]
+    for k in {0, order // 2, order}:
+        degree_k = np.arange(graded_size(dim, k - 1), graded_size(dim, k))
+        sets += [degree_k, degree_k[rng.random(len(degree_k)) < 0.5]]
+    return sets
+
+
+class TestPairs:
+    # the prefix pair kernel against the masked gather of the whole slice
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8])
+    def test_matches_masked_gather(self, rng, dim, order):
+        sets = index_sets(dim, order, rng)
+        bands = [(0, order)] + [(n, n) for n in range(order + 1)]
+        for ia, ib in itertools.product(sets, repeat=2):
+            if len(ia) * len(ib) > 250_000:
+                continue
+            for ia_order in (ia, rng.permutation(ia)):  # rows need not be sorted
+                for lo, hi in bands:
+                    got = _pairs(dim, order, ia_order, ib, lo, hi)
+                    want = masked_pairs(dim, order, ia_order, ib, lo, hi)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
+                        (ia_order, ib, lo, hi)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_product_table_matches_exponent_sums(self, dim):
+        for order in range(7):
+            assert np.array_equal(_product_table(dim, order), exponent_sum_table(dim, order))
+
+
+def random_complex_vec(rng, size):
+    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+
+def random_fraction_vec(rng, size):
+    return np.array([F(int(rng.integers(-9, 10)), int(rng.integers(1, 13))) for _ in range(size)],
+                    dtype=object)
+
+
+class TestKernelBitIdentity:
+    # every product, recurrence and symmetric product is the same bit for bit
+    # through the prefix kernel and through the masked gather
+    @staticmethod
+    def outputs(dim, order, draw):
+        rng = np.random.default_rng([dim, order])
+        vec = draw(rng, graded_size(dim, order))
+        free, unit = vec.copy(), vec.copy()
+        free[0], unit[0] = 0, 1
+        a, b = ScalarSeries(dim, order, vec), ScalarSeries(dim, order, draw(rng, len(vec)))
+        f, u = ScalarSeries(dim, order, free), ScalarSeries(dim, order, unit)
+        k = order // 2
+        left = SymCoeff(dim, k, draw(rng, len(monomial_basis(dim, k))))
+        right = SymCoeff(dim, order - k, draw(rng, len(monomial_basis(dim, order - k))))
+        return [ps_mul(a, b).vec, ps_exp(f).vec, ps_recip(u).vec, ps_log(u).vec,
+                sym_product(left, right).vec]
+
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 7), (3, 5), (4, 4)])
+    def test_float(self, monkeypatch, dim, order):
+        got = self.outputs(dim, order, random_complex_vec)
+        monkeypatch.setattr(series, "_pairs", masked_pairs)
+        want = self.outputs(dim, order, random_complex_vec)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 7), (3, 5), (4, 4)])
+    def test_exact(self, monkeypatch, dim, order):
+        got = self.outputs(dim, order, random_fraction_vec)
+        monkeypatch.setattr(series, "_pairs", masked_pairs)
+        want = self.outputs(dim, order, random_fraction_vec)
+        assert [list(map(str, v)) for v in got] == [list(map(str, v)) for v in want]
 
 
 class TestCompose:

@@ -51,6 +51,23 @@ class TestNorm:
             phi = random_symcoeff(d, n, rng)
             assert abs(sym_norm(phi) - np.linalg.norm(to_dense(phi).ravel())) <= 1e-12
 
+    def test_tiny_columns_scaled_up(self):
+        # the squares of 1e-170 underflow; the norm is the unit norm times 1e-170
+        got = column_norms([[1e-170], [1e-170]], 2, 1)[0]
+        want = column_norms([[1.0], [1.0]], 2, 1)[0] * 1e-170
+        assert abs(got - want) <= 1e-15 * want
+        got = sym_norm(SymCoeff(1, 3, np.array([3e-170 + 0j])))
+        want = sym_norm(SymCoeff(1, 3, np.array([1.0 + 0j]))) * 3e-170
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_scaling_leaves_other_columns(self):
+        # zero, ordinary and overflowing columns next to a tiny one keep their norms
+        mat = np.array([[0.0, 3.0, 1e300, 1e-170], [0.0, 4.0, 1e300, 0.0]])
+        got = column_norms(mat, 2, 1)
+        assert got[0] == 0.0 and got[1] == column_norms(mat[:, 1:2], 2, 1)[0]
+        assert got[2] == 1e300 * column_norms([[1.0], [1.0]], 2, 1)[0]
+        assert abs(got[3] - 1e-170) <= 1e-15 * 1e-170
+
     @pytest.mark.parametrize("dim,order", [(2, 6), (3, 4), (4, 3)])
     def test_tensor_norm_is_block_column_norm(self, dim, order):
         # the norms the bounds and diverge checks read, bit for bit
