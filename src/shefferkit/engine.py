@@ -17,8 +17,10 @@ in G is [xi^gamma](theta * A^beta) / beta! with theta = 1/rho(A), and
     V[k, n][beta, gamma] = (gamma!/beta!) [xi^gamma](theta * A^beta)
 
 for k = |beta|, n = |gamma|.  The products theta * A^beta are built in d
-variables, one series product per monomial beta of degree <= N.  In d = 1
-this is the column construction of an exponential Riordan array.
+variables, degree by degree, one series product per monomial beta of
+degree <= N, those of one degree and one first variable in one batched
+product.  In d = 1 this is the column construction of an exponential
+Riordan array.
 
 The matrix is block upper triangular with identity diagonal blocks, from
 the unit linear part of A and rho(0) = 1; monicity is asserted after every
@@ -56,7 +58,9 @@ import numpy as np
 from .series import (
     ScalarSeries,
     VectorSeries,
+    _mul_rows,
     _normalized,
+    _rank,
     _rescaled,
     graded_exponents,
     graded_size,
@@ -181,6 +185,33 @@ def _float_or_inf(value: int) -> float:
         return math.inf
 
 
+def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool):
+    """For k = 0..order, the vectors of factor * vec^beta over the monomials
+    beta of degree k as the rows of one array, from
+    factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i with i the first
+    nonzero index of beta: one batched product (`_mul_rows`) per i, over the
+    rows of degree k - 1 that the monomials of degree k with first index i
+    come from."""
+    d = vec.dim_in
+    dtype = object if exact else complex
+    comps = [np.asarray(c.vec, dtype=dtype) for c in vec.components]
+    raw = np.asarray(factor.vec, dtype=dtype)[None]
+    yield raw
+    for k in range(1, order + 1):
+        basis, rank, by_first = monomial_basis(d, k), _rank(d, k - 1), {}
+        for r, beta in enumerate(basis):  # i -> (rows beta, rows beta - e_i)
+            i = next(j for j, e in enumerate(beta) if e)
+            rows, lower = by_first.setdefault(i, ([], []))
+            rows.append(r)
+            lower.append(rank[beta[:i] + (beta[i] - 1,) + beta[i + 1:]])
+        prev, raw = raw, np.empty((len(basis), len(raw[0])), dtype=dtype)
+        for i, (rows, lower) in by_first.items():
+            level = prev[lower]
+            _mul_rows(d, order, level, comps[i])
+            raw[rows] = level
+        yield raw
+
+
 def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
                      ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
     """Read-only graded matrix of the transform with generating function
@@ -190,10 +221,8 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
 
         V[k, n][beta, gamma] = (gamma!/beta!) [xi^gamma](factor * vec^beta),
 
-    so only d-variable series are built: one product per monomial beta of
-    degree <= order, factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i
-    with i the first nonzero index of beta.  Row beta of the matrix is that
-    series' vector, weighted.
+    so only d-variable series are built, degree by degree (`_power_rows`).
+    Row beta of the matrix is the vector of factor * vec^beta, weighted.
 
     In float mode an entry is (gamma! * c) / beta! with both factorials as
     floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
@@ -209,15 +238,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     fact = [multi_factorial(gamma) for gamma in graded_exponents(d, order).tolist()]
     ffact = np.array([_float_or_inf(f) for f in fact])
     mat = np.full((len(fact),) * 2, Fraction(0) if exact else 0j)
-    level = {(0,) * d: factor}
-    for k in range(order + 1):
-        if k > 0:
-            prev, level = level, {}
-            for beta in monomial_basis(d, k):
-                i = next(j for j, e in enumerate(beta) if e)
-                lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                level[beta] = ps_mul(prev[lower], vec.components[i])
-        raw = np.stack([s.vec for s in level.values()])
+    for k, raw in enumerate(_power_rows(vec, factor, order, exact)):
         lo = offsets[k]
         rows = mat[lo:offsets[k + 1]]
         if exact:

@@ -17,7 +17,10 @@ gather forms only the pairs of nonzero entries whose product lands in a band
 of degrees of the output, and their products are accumulated into it.
 Because the basis is graded, the partners of one entry in a sorted index set
 are one contiguous run of it, found by binary search, so a product truncated
-at N never forms the pairs whose degree passes N.
+at N never forms the pairs whose degree passes N.  The batched kernel
+`_mul_rows` multiplies many series, the rows of one array, by one series
+with one gather plan over the rows' joint support, and gives each row the
+bits that multiplying it on its own gives; `ps_mul` is its one-row case.
 Exact vectors are multiplied as integer numerators over one common
 denominator per operand, with one normalisation per output entry instead of
 a gcd for every product and every sum.  This is exact coefficient
@@ -25,9 +28,12 @@ arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
 and the reciprocal are degree recurrences in the Euler operator
 E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather, each
 degree part computed once from the lower ones.  Composition is Horner's
-scheme (4.6.4) over these products on the nonzero graded indices, grouped
-by one exponent at a time, and the compositional inverse is Newton
-doubling on top of composition and the partial derivative `ps_derivative`.
+scheme (4.6.4) run in lockstep: one variable at a time, innermost first,
+every Horner chain of that variable, across several outer series, takes
+each step in one batched product, about f.dim * N of them per composition.
+The compositional inverse is Newton doubling, each step one lockstep
+composition of all components and one batched product per column of the
+Jacobian (`ps_derivative`).
 """
 
 from __future__ import annotations
@@ -402,20 +408,36 @@ def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
 
 # -- multiplication ------------------------------------------------------
 
+# Entries of the product table's key sums and search positions built at once.
+_TABLE_BLOCK = 1 << 18
+# Pair products formed at once by one batched product: bounds its
+# (rows x pairs) temporaries.
+_CHUNK_PAIRS = 8192
+# Bytes of level-0 Horner accumulators one lockstep pass may hold: the outer
+# series of a composition are split into passes of this size.
+_HORNER_BYTES = 1 << 22
+
 @lru_cache(maxsize=4)
 def _product_table(dim: int, order: int) -> np.ndarray:
     """T[i, j] = graded index of x^(e_i + e_j) for the graded indices i, j of
     degree <= order; -1 where the product's degree passes `order`.  A
     monomial's key is its exponents as digits in radix order + 1; wherever the
     product's degree is <= order no digit carries, so the key of the product
-    is the sum of the keys."""
+    is the sum of the keys.  The table is filled a block of rows at a time, so
+    the key sums and search positions never span more than one block."""
     exps = graded_exponents(dim, order)
     keys = exps @ (order + 1) ** np.arange(dim, dtype=np.int64)
     by_key = np.argsort(keys)
-    pos = np.searchsorted(keys[by_key], keys[:, None] + keys[None, :])
-    table = by_key[pos.clip(max=len(keys) - 1, out=pos)]
+    sorted_keys = keys[by_key]
     degrees = exps.sum(axis=1)
-    table[degrees[:, None] + degrees[None, :] > order] = -1
+    size = len(keys)
+    table = np.empty((size, size), dtype=by_key.dtype)
+    step = max(1, _TABLE_BLOCK // size)
+    for lo in range(0, size, step):
+        rows = table[lo:lo + step]
+        pos = np.searchsorted(sorted_keys, keys[lo:lo + step, None] + keys[None, :])
+        np.take(by_key, pos.clip(max=size - 1, out=pos), out=rows)
+        rows[degrees[lo:lo + step, None] > order - degrees[None, :]] = -1
     table.flags.writeable = False
     return table
 
@@ -480,14 +502,89 @@ def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
     return out
 
 
-def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
-    """Product truncated at min(N_a, N_b); the outer loop of the accumulation
-    runs over the operand with fewer nonzero entries."""
-    n, va, vb = a._aligned(b)
+def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """va * vb truncated at `order`, the outer loop over the operand with
+    fewer nonzero entries (va on a tie): the one-row case of `_mul_rows`."""
     ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
     if len(ia) > len(ib):
         ia, ib, va, vb = ib, ia, vb, va
-    return ScalarSeries(a.dim, n, _accumulate(a.dim, n, ia, va[ia], ib, vb[ib], np.multiply))
+    return _accumulate(dim, order, ia, va[ia], ib, vb[ib], np.multiply)
+
+
+def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray) -> None:
+    """rows[r] <- rows[r] * b truncated at `order`, in place, for every row r
+    of a C-contiguous 2-d array of graded vectors of degree <= order (rows
+    and b in one dtype); each row ends equal bit for bit to ps_mul of it by
+    b on its own.  Three rules keep it so:
+
+    - Per row, the outer loop runs over the operand with fewer nonzero
+      entries (the row on a tie), and each product keeps the order row * b.
+      The rows on each side of that rule form one group with one `_pairs`
+      plan over the joint support of its rows.  A chunk of at most
+      _CHUNK_PAIRS pair products is gathered, its rows cleared and the
+      products accumulated into them.
+    - An all-zero row is not multiplied (it becomes zeros), and an entry that
+      is zero in its row but inside the joint support forms no product: no
+      0 * inf = NaN.
+    - Exact rows are integer numerators over one common denominator per row
+      (and one for b); each nonzero output entry is reduced once and stays
+      an int where the product of the two denominators is 1.
+    """
+    if len(rows) == 1:
+        rows[0] = _mul_pair(dim, order, rows[0], b)
+        return
+    if not rows.flags.c_contiguous:
+        raise ValueError("_mul_rows needs C-contiguous rows")
+    exact = rows.dtype == object
+    nonzero = rows != 0
+    nnz = np.count_nonzero(nonzero, axis=1)
+    ib = np.flatnonzero(b)
+    b_vals, source, out = b[ib], rows, rows.reshape(-1)
+    if exact:  # integer numerators over each row's lcm of denominators
+        b_vals, b_den = _over_common_denominator(b_vals)
+        at_row, at_col = np.nonzero(nonzero)
+        entries, owners = rows[at_row, at_col], at_row.tolist()
+        dens = [1] * len(rows)
+        for r, x in zip(owners, entries):
+            dens[r] = math.lcm(dens[r], int(x.denominator))
+        source = np.zeros(rows.shape, dtype=object)
+        source[at_row, at_col] = [int(x.numerator) * (dens[r] // int(x.denominator))
+                                  for r, x in zip(owners, entries)]
+    rows[nnz == 0] = 0
+    width = rows.shape[1]
+    for rows_outer in (True, False):
+        sel = np.flatnonzero((nnz > 0) & (nnz <= len(ib)) if rows_outer else nnz > len(ib))
+        if not len(sel):
+            continue
+        joint = np.flatnonzero(nonzero[sel].any(axis=0))
+        if rows_outer:
+            at, bt, targets = _pairs(dim, order, joint, ib, 0, order)
+        else:
+            bt, at, targets = _pairs(dim, order, ib, joint, 0, order)
+        at, bv = joint[at], b_vals[bt]
+        step = max(1, _CHUNK_PAIRS // max(len(targets), 1))
+        for lo in range(0, len(sel), step):
+            part = sel[lo:lo + step]
+            src, flat = at + part[:, None] * width, targets + part[:, None] * width
+            av, keep = source.reshape(-1)[src], nonzero.reshape(-1)[src]
+            rows[part] = 0
+            if keep.all():
+                pv, flat = bv, flat.reshape(-1)
+            else:
+                av, pv, flat = av[keep], np.broadcast_to(bv, keep.shape)[keep], flat[keep]
+            np.multiply(av, pv, out=av) if rows_outer else np.multiply(pv, av, out=av)
+            np.add.at(out, flat, av.reshape(-1))
+    if exact:
+        dens = [den * b_den for den in dens]
+        at_row, at_col = np.nonzero(rows)
+        rows[at_row, at_col] = [num if dens[r] == 1 else Fraction(num, dens[r])
+                                for r, num in zip(at_row.tolist(), rows[at_row, at_col])]
+
+
+def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
+    """Product truncated at min(N_a, N_b); the one-row case of `_mul_rows`."""
+    n, va, vb = a._aligned(b)
+    return ScalarSeries(a.dim, n, _mul_pair(a.dim, n, va, vb))
 
 
 def ps_derivative(a: ScalarSeries, var: int) -> ScalarSeries:
@@ -560,45 +657,126 @@ def ps_recip(a: ScalarSeries) -> ScalarSeries:
     return _degree_recurrence(-a, divide=False)
 
 
+@lru_cache(maxsize=64)
+def _horner_plan(f_dim: int, f_order: int, rows: int, support: bytes) -> tuple:
+    """The lockstep schedule of `_horner` for `rows` series of degree <=
+    f_order in f_dim variables whose nonzero entries are `support` (the
+    bytes of a (rows, graded_size) bool array).
+
+    A node of level v is the terms of one row that share their exponents of
+    the variables after v; its chain runs over its exponents e of variable v
+    from the largest down to 0.  Returns the (row, graded index) of every
+    term, the leaves of level 0; per level, the number of nodes and, per
+    step from the largest power down to 0, the number of chains that have
+    started before it (the longest chains are the first rows, so these are
+    a prefix) and the (rows, children) of the nodes that add a child there;
+    and the row of each series' top node, the series in order.
+    """
+    exps = graded_exponents(f_dim, f_order)
+    owner, idx = np.nonzero(np.frombuffer(support, dtype=bool).reshape(rows, -1))
+    # sorted by (row, last exponent, .., first exponent): every node is a run
+    perm = np.lexsort(np.column_stack([exps[idx], owner]).T)
+    owner, idx = owner[perm], idx[perm]
+    e = exps[idx]
+    starts = [np.append(True, owner[1:] != owner[:-1])]
+    for v in range(f_dim - 1, 0, -1):
+        starts.insert(0, starts[0] | np.append(False, e[1:, v] != e[:-1, v]))
+    levels = []
+    kid_first = kid_row = np.arange(len(idx))  # level -1: the terms themselves
+    for v, start in enumerate(starts):
+        node, first = np.cumsum(start) - 1, np.flatnonzero(start)
+        top = e[np.append(first[1:], len(idx)) - 1, v]  # a run's last term has its top power
+        by_top = np.argsort(-top, kind="stable")
+        row = np.argsort(by_top)
+        started = np.searchsorted(-top[by_top], -np.arange(top.max() + 1)).tolist()
+        power = e[kid_first, v]
+        kids = np.argsort(power, kind="stable")  # the children by their power of v
+        bounds = np.searchsorted(power[kids], np.arange(top.max() + 2)).tolist()
+        targets, sources = row[node[kid_first[kids]]], kid_row[kids]
+        levels.append((len(first), [
+            (started[k], targets[bounds[k]:bounds[k + 1]], sources[bounds[k]:bounds[k + 1]])
+            for k in range(top.max(), -1, -1)]))
+        kid_first, kid_row = first, row
+    return owner, idx, levels, kid_row
+
+
+def _horner(f: np.ndarray, f_order: int, comps: list[np.ndarray], dim: int,
+            n: int) -> np.ndarray:
+    """Rows of `f`, series of degree <= f_order in len(comps) variables each
+    with a term past its constant, with the graded vectors `comps` (dim
+    variables, degree <= n, zero constant terms) substituted, truncated at n.
+
+    Horner's scheme one variable at a time, innermost first, on the schedule
+    of `_horner_plan`: at each step of a level every chain that has started
+    is multiplied by comps[v], all of them in one `_mul_rows` call (which
+    skips the all-zero ones), and then the chains with a child of that power
+    add it, the leaves of level 0 being constants added to column 0.  Every
+    product and sum of a chain is the one, in the order, that chain would
+    make on its own.
+    """
+    leaf_rows, leaf_idx, levels, tops = _horner_plan(
+        len(comps), f_order, len(f), (f != 0).tobytes())
+    vals = f[leaf_rows, leaf_idx][:, None]
+    for (count, steps), comp in zip(levels, comps):
+        dtype = object if vals.dtype == object and comp.dtype == object else complex
+        vals, comp = vals.astype(dtype, copy=False), comp.astype(dtype, copy=False)
+        acc = np.zeros((count, len(comp)), dtype=dtype)
+        width = vals.shape[1]
+        block = max(1, _CHUNK_PAIRS // width)  # child rows added at once
+        for live, targets, sources in steps:
+            if live:
+                _mul_rows(dim, n, acc[:live], comp)
+            for lo in range(0, len(targets), block):
+                acc[targets[lo:lo + block], :width] += vals[sources[lo:lo + block]]
+        vals = acc
+    return vals[tops]
+
+
+def _compose(fs: list[ScalarSeries], g: "VectorSeries") -> list[ScalarSeries]:
+    """Each f of `fs` (one max_degree, g.dim_out variables) with `g`
+    substituted, truncated at min(N_f, N_g).  The exact and the float series
+    each go through `_horner` in passes of as many series as keep the level-0
+    accumulators within _HORNER_BYTES; a series has at most one such row per
+    exponent tuple of its variables after the first, graded_size(f.dim - 1,
+    N_f) of them."""
+    for comp in g.components:
+        if comp.constant_term != 0:
+            raise ValueError("composition requires zero constant terms in the inner series")
+    n = min(fs[0].max_degree, g.max_degree)
+    dim, comps = g.dim_in, [c.truncate(n).vec for c in g.components]
+    out, groups = [], {}
+    for s, f in enumerate(fs):
+        if f.vec[1:].any():
+            groups.setdefault(f.exact, []).append(s)
+            out.append(None)
+            continue
+        value = f.vec[0] or 0  # no product is formed: f is its constant term
+        leaf = np.zeros(graded_size(dim, n), dtype=object if _is_exact(value) else complex)
+        leaf[0] = value
+        out.append(ScalarSeries(dim, n, leaf))
+    row_bytes = graded_size(g.dim_out - 1, fs[0].max_degree) * graded_size(dim, n) * 16
+    step = max(1, _HORNER_BYTES // row_bytes)
+    for rows in groups.values():
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            vecs = _horner(np.stack([fs[s].vec for s in part]), fs[0].max_degree, comps, dim, n)
+            for s, vec in zip(part, vecs):
+                out[s] = ScalarSeries(dim, n, vec)
+    return out
+
+
 def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
     """Substitute the vector series `g` into `f`, truncated at min(N_f, N_g).
 
     `f` is a series in g.dim_out variables; the result is a series in
-    g.dim_in variables.  Evaluation is Horner-style, variable by variable:
-    f's nonzero graded indices are grouped by the exponent of the last
-    variable and the groups are folded with one ring multiplication per
-    exponent step, recursing on the remaining variables.  Substituted
-    components must have zero constant term so that truncation is coherent.
+    g.dim_in variables.  Evaluation is Horner's scheme in lockstep
+    (`_horner`): all chains of one variable take each step as one batched
+    product, about f.dim * N of them in all.  Substituted components must
+    have zero constant term so that truncation is coherent.
     """
     if f.dim != g.dim_out:
         raise ValueError(f"dimension mismatch: f has {f.dim} vars, g maps into {g.dim_out}")
-    for comp in g.components:
-        if comp.constant_term != 0:
-            raise ValueError("composition requires zero constant terms in the inner series")
-    n = min(f.max_degree, g.max_degree)
-    dim = g.dim_in
-    comps = [c.truncate(min(n, c.max_degree)) for c in g.components]
-    zero = ScalarSeries.zero(dim, n)
-    exps = graded_exponents(f.dim, f.max_degree)
-
-    def rec(idx: np.ndarray, var: int) -> ScalarSeries:
-        """f's terms at graded indices `idx` with the variables after `var` set to 1."""
-        if var < 0:
-            value = f.vec[idx[0]]
-            leaf = np.zeros(graded_size(dim, n), dtype=object if _is_exact(value) else complex)
-            leaf[0] = value
-            return ScalarSeries(dim, n, leaf)
-        power = exps[idx, var]
-        acc = zero
-        for e in range(power.max(initial=0), -1, -1):
-            if not acc.is_zero:
-                acc = ps_mul(acc, comps[var])
-            group = idx[power == e]
-            if len(group):
-                acc = acc + rec(group, var - 1)
-        return acc
-
-    return rec(np.flatnonzero(f.vec), f.dim - 1)
+    return _compose([f], g)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,10 +856,10 @@ class VectorSeries:
 
 
 def vs_compose(outer: VectorSeries, inner: VectorSeries) -> VectorSeries:
-    """outer(inner(x)), componentwise composition."""
+    """outer(inner(x)): all components in one lockstep Horner pass."""
     if outer.dim_in != inner.dim_out:
         raise ValueError("dimension chain mismatch in composition")
-    return VectorSeries.from_components(ps_compose(c, inner) for c in outer.components)
+    return VectorSeries.from_components(_compose(list(outer.components), inner))
 
 
 def vs_inverse(a: VectorSeries) -> VectorSeries:
@@ -695,8 +873,10 @@ def vs_inverse(a: VectorSeries) -> VectorSeries:
     is correct through degree M.  The Jacobian Db of the current b stands in
     for Da(b)^-1: Da(b) Db = I + Dr, so the two differ from degree m on, and
     that difference times r starts past degree 2m.  No matrix of series is
-    inverted.  Each step costs one composition at its order; the orders are
-    N, ceil(N/2), .., 1 taken from the bottom, so no step is a near-full
+    inverted.  Each step costs one lockstep composition at its order, all d
+    components of a(b) together, and d batched products, column j of Db
+    times r_j; each b_i is updated in j order.  The orders are N,
+    ceil(N/2), .., 1 taken from the bottom, so no step is a near-full
     composition that gains a single degree.  The inverse is again unit
     linear and b(a(x)) = a(b(x)) = x up to the shared truncation order.
     """
@@ -706,14 +886,14 @@ def vs_inverse(a: VectorSeries) -> VectorSeries:
     orders = [n]
     while orders[-1] > 1:
         orders.append((orders[-1] + 1) // 2)
-    b = [ScalarSeries.variable(dim, n, i, exact=a.exact).vec.copy() for i in range(dim)]
+    b = np.stack([ScalarSeries.variable(dim, n, i, exact=a.exact).vec for i in range(dim)])
     for order in reversed(orders[:-1]):
         size = graded_size(dim, order)
         b_cur = [ScalarSeries(dim, order, v[:size].copy()) for v in b]
         comp = vs_compose(a.truncate(order), VectorSeries.from_components(b_cur))
-        residual = [c - ScalarSeries.variable(dim, order, j, exact=a.exact)
-                    for j, c in enumerate(comp.components)]
-        for v, bi in zip(b, b_cur):
-            for j, r in enumerate(residual):
-                v[:size] -= ps_mul(ps_derivative(bi, j), r).vec
+        for j, c in enumerate(comp.components):
+            r = c - ScalarSeries.variable(dim, order, j, exact=a.exact)
+            rows, rv = _common(np.stack([ps_derivative(bi, j).vec for bi in b_cur]), r.vec)
+            _mul_rows(dim, order, rows, rv)
+            b[:, :size] -= rows
     return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)

@@ -20,6 +20,13 @@ def series_diff(a: ScalarSeries, b: ScalarSeries) -> float:
     return max_term_abs(a - b)
 
 
+def bits(vec: np.ndarray):
+    """The bytes of a float array; the type and value of each exact entry."""
+    if vec.dtype == object:
+        return [f"{type(x).__name__}:{x}" for x in np.ravel(vec)]
+    return np.ascontiguousarray(vec).tobytes()
+
+
 def vector_diff(a: VectorSeries, b: VectorSeries) -> float:
     return max(series_diff(ca, cb) for ca, cb in zip(a.components, b.components))
 

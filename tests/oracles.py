@@ -5,7 +5,9 @@ library's generating-function or graded-transform machinery: explicit
 integer products, three-term recurrences, finite combinatorial sums, dense
 tensor algebra via numpy, and triangular solves.  The product-kernel oracles
 are the first constructions of the product table and of the pair gather,
-kept to pin the faster ones entry for entry.  The norm-check oracles
+kept to pin the faster ones entry for entry, and the composition oracles
+are the routes that made one `ps_mul` per Horner step, per Jacobian entry
+and per block row, kept to pin the batched ones bit for bit.  The norm-check oracles
 take the long way round instead: one full graded apply per monomial, and
 one polynomial evaluation per sampled point.  The graded apply oracle takes
 the built blocks and multiplies them one (k, n) pair at a time, and the
@@ -24,7 +26,7 @@ import numpy as np
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
 from shefferkit.series import (ScalarSeries, VectorSeries, _product_table, graded_exponents,
-                               graded_size, monomial_basis, ps_mul, vs_compose)
+                               graded_size, monomial_basis, ps_derivative, ps_mul, vs_compose)
 from shefferkit.symtensor import SymCoeff, sym_norm, sym_product
 
 
@@ -265,6 +267,76 @@ def masked_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     rows, cols = np.nonzero((targets >= graded_size(dim, lo - 1))
                             & (targets < graded_size(dim, hi)))
     return rows, cols, targets[rows, cols]
+
+
+# -- composition oracles -----------------------------------------------------------
+
+
+def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
+    """ps_compose by its recursive construction: f's nonzero graded indices
+    grouped by the exponent of the last variable, the groups folded with one
+    ps_mul per exponent step, recursing on the remaining variables."""
+    n = min(f.max_degree, g.max_degree)
+    dim = g.dim_in
+    comps = [c.truncate(min(n, c.max_degree)) for c in g.components]
+    zero = ScalarSeries.zero(dim, n)
+    exps = graded_exponents(f.dim, f.max_degree)
+
+    def rec(idx: np.ndarray, var: int) -> ScalarSeries:
+        if var < 0:
+            value = f.vec[idx[0]]
+            exact = isinstance(value, (int, Fraction))
+            leaf = np.zeros(graded_size(dim, n), dtype=object if exact else complex)
+            leaf[0] = value
+            return ScalarSeries(dim, n, leaf)
+        power = exps[idx, var]
+        acc = zero
+        for e in range(power.max(initial=0), -1, -1):
+            if not acc.is_zero:
+                acc = ps_mul(acc, comps[var])
+            group = idx[power == e]
+            if len(group):
+                acc = acc + rec(group, var - 1)
+        return acc
+
+    return rec(np.flatnonzero(f.vec), f.dim - 1)
+
+
+def inverse_by_components(a: VectorSeries) -> VectorSeries:
+    """vs_inverse by its first construction: each Newton step composes the
+    components of a one at a time (horner_compose) and makes one ps_mul per
+    Jacobian entry (i, j), b_i updated in j order."""
+    n, dim = a.max_degree, a.dim_in
+    orders = [n]
+    while orders[-1] > 1:
+        orders.append((orders[-1] + 1) // 2)
+    b = [ScalarSeries.variable(dim, n, i, exact=a.exact).vec.copy() for i in range(dim)]
+    for order in reversed(orders[:-1]):
+        size = graded_size(dim, order)
+        b_cur = [ScalarSeries(dim, order, v[:size].copy()) for v in b]
+        inner = VectorSeries.from_components(b_cur)
+        residual = [horner_compose(c, inner) - ScalarSeries.variable(dim, order, j, exact=a.exact)
+                    for j, c in enumerate(a.truncate(order).components)]
+        for v, bi in zip(b, b_cur):
+            for j, r in enumerate(residual):
+                v[:size] -= ps_mul(ps_derivative(bi, j), r).vec
+    return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)
+
+
+def power_rows_by_monomial(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool):
+    """engine._power_rows by its first construction: one ps_mul per monomial
+    beta, factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i with i the
+    first nonzero index of beta."""
+    d = vec.dim_in
+    level = {(0,) * d: factor}
+    yield np.stack([factor.vec])
+    for k in range(1, order + 1):
+        prev, level = level, {}
+        for beta in monomial_basis(d, k):
+            i = next(j for j, e in enumerate(beta) if e)
+            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            level[beta] = ps_mul(prev[lower], vec.components[i])
+        yield np.stack([s.vec for s in level.values()])
 
 
 # -- graded apply oracle ----------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shefferkit import engine
 from shefferkit.engine import (
     SEQUENCE_FORMAT,
     DegreeOverflowError,
@@ -37,7 +38,7 @@ from shefferkit.series import (
 )
 from shefferkit.symtensor import SymCoeff, sym_contract, sym_norm, sym_product
 
-from conftest import coeff_column_1d, poly_abs_diff, poly_scale, random_polynomial_sparse
+from conftest import bits, coeff_column_1d, poly_abs_diff, poly_scale, random_polynomial_sparse
 from oracles import (
     apply_by_blocks,
     binomial_convolution,
@@ -47,6 +48,7 @@ from oracles import (
     falling_coeffs,
     hermite_coeffs,
     laguerre_coeffs,
+    power_rows_by_monomial,
     random_series,
     random_unit_linear,
     rising_coeffs,
@@ -397,6 +399,50 @@ class TestApplyByBlocks:
             scale = np.abs(mat) @ np.abs(graded_vector(p, order))
             err = np.abs(graded_vector(got, order) - graded_vector(want, order))
             assert np.all(err <= 1e-15 * scale)
+
+
+def rational_pair(dim, order, rng):
+    """Exact unit-linear A and rho with rho(0) = 1, every coefficient drawn."""
+    def draw(lowest):
+        return {b: F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                for k in range(lowest, order + 1) for b in monomial_basis(dim, k)}
+    comps = [ScalarSeries.from_terms(dim, order, {**draw(2), tuple(int(j == i) for j in range(dim)): 1})
+             for i in range(dim)]
+    return VectorSeries.from_components(comps), ScalarSeries.from_terms(
+        dim, order, {**draw(1), (0,) * dim: 1})
+
+
+class TestPowerRows:
+    """The block rows factor * vec^beta, one batched product per first
+    variable, against one ps_mul per monomial, bit for bit, in both
+    directions; and the matrices built from either."""
+
+    @staticmethod
+    def check(seq, monkeypatch):
+        inverse_factor = seq.kappa_series if seq.rho is None else seq.rho.truncate(seq.max_degree)
+        for vec, factor in ((seq.a, seq.theta_series), (seq.inverse_a, inverse_factor)):
+            args = (vec, factor, seq.max_degree, seq.exact)
+            got = [bits(raw) for raw in engine._power_rows(*args)]
+            assert got == [bits(raw) for raw in power_rows_by_monomial(*args)]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_power_rows", power_rows_by_monomial)
+            want = engine._transfer_blocks(seq.a, seq.theta_series, seq.max_degree, seq.exact)[0]
+        assert bits(want) == bits(seq.matrix)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim, order", [(1, 16), (2, 7), (3, 5), (4, 4)])
+    def test_dense(self, dim, order, exact, monkeypatch):
+        rng = np.random.default_rng([dim, order])
+        a, rho = rational_pair(dim, order, rng) if exact else dense_pair(dim, order, rng)
+        self.check(build_sheffer(a, rho, order), monkeypatch)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", ["falling", "rising", "hermite", "charlier", "laguerre"])
+    def test_catalog(self, kind, exact, monkeypatch):
+        for dim, order in ((1, 12), (2, 6), (3, 4)):
+            spec = FamilySpec(kind, dim, order, k=2.0, weights=(0.5, 1.5, 1.25)[:dim]
+                              if kind in ("charlier", "laguerre") else None)
+            self.check(build_sheffer(*make_family(spec, exact=exact), order), monkeypatch)
 
 
 class TestCombinatorialPath:

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from shefferkit import series
+from shefferkit.families import FamilySpec, make_family
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    _mul_rows,
     _pairs,
     _product_table,
     graded_size,
@@ -26,11 +29,13 @@ from shefferkit.series import (
 )
 from shefferkit.symtensor import SymCoeff, sym_product
 
-from conftest import series_diff, vector_diff
+from conftest import bits, series_diff, vector_diff
 from oracles import (
     dict_product,
     exponent_sum_table,
     geometric_recip,
+    horner_compose,
+    inverse_by_components,
     inverse_by_degree,
     masked_pairs,
     mercator_log,
@@ -307,6 +312,21 @@ class TestPairs:
         for order in range(7):
             assert np.array_equal(_product_table(dim, order), exponent_sum_table(dim, order))
 
+    def test_product_table_peak_memory(self):
+        # filled a block of rows at a time: the traced peak of the 72 MB
+        # table at d=6 N=8 stays within 90 MB (three (G, G) int64 arrays,
+        # 225 MB, when the whole table was built at once)
+        _product_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _product_table(6, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _product_table.cache_clear()
+        assert table.nbytes == 3003 ** 2 * 8
+        assert peak <= 90e6
+
 
 def random_complex_vec(rng, size):
     return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
@@ -347,6 +367,222 @@ class TestKernelBitIdentity:
         monkeypatch.setattr(series, "_pairs", masked_pairs)
         want = self.outputs(dim, order, random_fraction_vec)
         assert [list(map(str, v)) for v in got] == [list(map(str, v)) for v in want]
+
+
+def sparse_vec(rng, size, count, exact):
+    vec = np.zeros(size, dtype=object if exact else complex)
+    at = rng.choice(size, count, replace=False)
+    vec[at] = (random_fraction_vec if exact else random_complex_vec)(rng, count)
+    return vec
+
+
+def per_row(dim, order, rows, b):
+    return [ps_mul(ScalarSeries(dim, order, r.copy()), ScalarSeries(dim, order, b.copy())).vec
+            for r in rows]
+
+
+def batched(dim, order, rows, b):
+    out = np.array(rows)
+    _mul_rows(dim, order, out, b)
+    return list(out)
+
+
+KERNEL_SIZES = [(1, 9), (2, 6), (3, 5), (4, 4)]
+
+
+class TestMulRows:
+    # the batched kernel against ps_mul of each row on its own, bit for bit
+    @staticmethod
+    def rows_around(rng, dim, order, b_nnz, exact):
+        """Rows on both sides of the outer-operand rule (fewer, as many and
+        more nonzero entries than b's b_nnz), an all-zero row and rows of
+        random support."""
+        size = graded_size(dim, order)
+        counts = [1, b_nnz - 1, b_nnz, b_nnz + 1, size, 0] + list(rng.integers(1, size + 1, 6))
+        return [sparse_vec(rng, size, min(int(c), size), exact) for c in counts]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim, order", KERNEL_SIZES)
+    def test_matches_per_row_products(self, dim, order, exact):
+        rng = np.random.default_rng([dim, order, exact])
+        size = graded_size(dim, order)
+        for b_nnz in (2, size // 2, size):
+            b = sparse_vec(rng, size, b_nnz, exact)
+            rows = self.rows_around(rng, dim, order, b_nnz, exact)
+            want = per_row(dim, order, rows, b)
+            assert [bits(v) for v in batched(dim, order, rows, b)] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("dim, order", KERNEL_SIZES)
+    def test_signed_zeros_and_an_infinite_inner_entry(self, dim, order):
+        # -0.0 parts in rows and b, rows of -0.0 only, and an inf entry in b
+        # that meets zeros of some rows inside the joint support
+        rng = np.random.default_rng([dim, order])
+        size = graded_size(dim, order)
+        b = sparse_vec(rng, size, max(2, size // 2), False)
+        b[np.flatnonzero(b)[:3]] = [complex(np.inf, 0.5), complex(-0.0, 1.0), complex(2.0, -0.0)]
+        rows = self.rows_around(rng, dim, order, len(np.flatnonzero(b)), False)
+        rows.append(np.full(size, complex(-0.0, -0.0)))
+        for row in rows:
+            nz = np.flatnonzero(row)
+            row[nz[:1]] = complex(-0.0, 0.25)
+            row[nz[1:2]] = complex(0.5, -0.0)
+        with np.errstate(invalid="ignore"):
+            got, want = batched(dim, order, rows, b), per_row(dim, order, rows, b)
+        assert any(np.isnan(v).any() for v in got)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_different_denominators_and_int_rows(self, exact):
+        rng = np.random.default_rng(7)
+        dim, order = 2, 6
+        size = graded_size(dim, order)
+        b = sparse_vec(rng, size, 10, True)
+        rows = [sparse_vec(rng, size, c, True) for c in (3, 10, 20, size)]
+        rows += [np.array([int(x) for x in rng.integers(-5, 6, size)], dtype=object)]
+        if not exact:
+            rows, b = [r.astype(complex) for r in rows], b.astype(complex)
+        assert [bits(v) for v in batched(dim, order, rows, b)] == \
+            [bits(v) for v in per_row(dim, order, rows, b)]
+        ints = np.array([int(x) for x in rng.integers(-5, 6, size)], dtype=object)
+        if exact:  # a denominator of 1 on both sides keeps ints
+            assert all(type(x) is int for v in batched(dim, order, rows[-1:] * 2, ints) for x in v)
+
+    @pytest.mark.parametrize("cap", [1, 5, 97, None])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_more_rows_than_one_chunk(self, monkeypatch, cap, exact):
+        dim, order = 3, 6  # 924 pairs per dense row: 8 rows to a chunk of 8192
+        rng = np.random.default_rng([3, 6, exact])
+        size = graded_size(dim, order)
+        if cap is not None:
+            monkeypatch.setattr(series, "_CHUNK_PAIRS", cap)
+        b = sparse_vec(rng, size, size, exact)
+        rows = [sparse_vec(rng, size, c, exact) for c in rng.integers(size // 2, size + 1, 30)]
+        assert [bits(v) for v in batched(dim, order, rows, b)] == \
+            [bits(v) for v in per_row(dim, order, rows, b)]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_single_row(self, exact):
+        rng = np.random.default_rng(3)
+        size = graded_size(2, 5)
+        row, b = sparse_vec(rng, size, 9, exact), sparse_vec(rng, size, 4, exact)
+        assert [bits(v) for v in batched(2, 5, [row], b)] == [bits(v) for v in per_row(2, 5, [row], b)]
+
+    def test_needs_contiguous_rows(self):
+        rows = np.ones((4, graded_size(2, 3)), dtype=complex)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _mul_rows(2, 3, rows[::2], rows[0])
+
+
+def rational_series(rng, dim, order, keep=1.0, lowest=0):
+    terms = {b: F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+             for deg in range(lowest, order + 1) for b in monomial_basis(dim, deg)
+             if rng.random() < keep}
+    return ScalarSeries.from_terms(dim, order, terms)
+
+
+def rational_unit_linear(rng, dim, order):
+    comps = []
+    for i in range(dim):
+        c = rational_series(rng, dim, order, lowest=2)
+        comps.append(c + ScalarSeries.variable(dim, order, i, exact=True))
+    return VectorSeries.from_components(comps)
+
+
+CATALOG_KINDS = ("falling", "rising", "hermite", "charlier", "laguerre")
+
+
+def catalog(kind, dim, order, exact):
+    kw = {"k": 2.0} if kind == "laguerre" else {}
+    if dim > 1 and kind == "hermite":
+        kw["cov"] = tuple(tuple(2.0 if i == j else 0.25 for j in range(dim)) for i in range(dim))
+    elif dim > 1:
+        kw["weights"] = (0.5, 1.5, 1.25)[:dim]
+    return make_family(FamilySpec(kind, dim, order, **kw), exact=exact)
+
+
+def same_series(got, want):
+    return got.exact == want.exact and bits(got.vec) == bits(want.vec)
+
+
+class TestLockstepCompose:
+    # lockstep Horner against the recursive one, bit for bit
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("f_dim, g_dim", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 1)])
+    def test_matches_recursive_horner(self, f_dim, g_dim, exact):
+        rng = np.random.default_rng([f_dim, g_dim, exact])
+        order = {1: 9, 2: 6, 3: 5, 4: 4}[max(f_dim, g_dim)]
+        for keep in (1.0, 0.4):
+            if exact:
+                f = rational_series(rng, f_dim, order + 2, keep)
+                g = VectorSeries.from_components(rational_series(rng, g_dim, order, keep, lowest=1)
+                                                 for _ in range(f_dim))
+            else:
+                f = random_series(f_dim, order + 2, rng)
+                g = random_unit_linear(g_dim, order, rng, decay=2.0) if f_dim == g_dim else \
+                    VectorSeries.from_components(random_series(g_dim, order, rng, constant=0)
+                                                 for _ in range(f_dim))
+                if keep < 1:
+                    f = ScalarSeries(f_dim, f.max_degree, np.where(rng.random(len(f.vec)) < keep,
+                                                                   f.vec, 0))
+            assert same_series(ps_compose(f, g), horner_compose(f, g))
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim, order", [(1, 10), (2, 6), (3, 5), (4, 4)])
+    def test_several_outer_series_at_once(self, monkeypatch, dim, order, exact, small):
+        # dense, sparse, zero, single-variable and single-monomial components;
+        # `small` takes one outer series per pass and one row per chunk
+        if small:
+            monkeypatch.setattr(series, "_HORNER_BYTES", 1)
+            monkeypatch.setattr(series, "_CHUNK_PAIRS", 1)
+        rng = np.random.default_rng([dim, order])
+        make = (lambda keep: rational_series(rng, dim, order, keep, lowest=1)) if exact else \
+            (lambda keep: ScalarSeries(dim, order, np.where(
+                rng.random(graded_size(dim, order)) < keep,
+                random_series(dim, order, rng, constant=0).vec, 0)))
+        last = make(1.0).vec.copy()
+        last[[i for i, b in enumerate(series.graded_exponents(dim, order)) if any(b[:-1])]] = 0
+        mono = np.zeros(graded_size(dim, order), dtype=last.dtype)
+        mono[-1] = 3
+        comps = [make(1.0), make(0.3), make(0.0), ScalarSeries(dim, order, last),
+                 ScalarSeries(dim, order, mono)]
+        outer = VectorSeries.from_components(comps)
+        inner = rational_unit_linear(rng, dim, order) if exact else \
+            random_unit_linear(dim, order, rng, decay=2.0)
+        got = vs_compose(outer, inner)
+        for g, c in zip(got.components, outer.components):
+            assert same_series(g, horner_compose(c, inner))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_constant_rows_among_others(self, dim):
+        # outer series with constant terms, which a vector series cannot hold
+        rng = np.random.default_rng(dim)
+        inner = random_unit_linear(dim, 5, rng, decay=2.0)
+        fs = [random_series(dim, 5, rng), ScalarSeries.zero(dim, 5),
+              ScalarSeries.constant(dim, 5, 2.5 + 0j), random_series(dim, 5, rng, constant=0)]
+        for got, f in zip(series._compose(fs, inner), fs):
+            assert same_series(got, horner_compose(f, inner))
+
+    @pytest.mark.parametrize("f_exact, g_exact", [(True, False), (False, True)])
+    def test_mixed_exactness(self, f_exact, g_exact):
+        rng = np.random.default_rng(11)
+        f = rational_series(rng, 2, 5) if f_exact else random_series(2, 5, rng)
+        g = rational_unit_linear(rng, 2, 5) if g_exact else random_unit_linear(2, 5, rng)
+        assert same_series(ps_compose(f, g), horner_compose(f, g))
+        const = ScalarSeries.constant(2, 5, F(3, 2) if f_exact else 1.5 + 0j)
+        assert same_series(ps_compose(const, g), horner_compose(const, g))
+        zero = ScalarSeries(2, 5, np.zeros(graded_size(2, 5), dtype=object if f_exact else complex))
+        assert same_series(ps_compose(zero, g), horner_compose(zero, g))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", CATALOG_KINDS)
+    def test_catalog_kappa_and_inverse(self, kind, exact):
+        for dim, order in ((1, 12), (2, 6), (3, 4)):
+            a, rho = catalog(kind, dim, order, exact)
+            if rho is not None:
+                assert same_series(ps_compose(rho, a), horner_compose(rho, a))
+            got, want = vs_inverse(a), inverse_by_components(a)
+            assert all(same_series(g, w) for g, w in zip(got.components, want.components))
 
 
 class TestCompose:
@@ -464,6 +700,24 @@ class TestInverse:
         a = VectorSeries.from_components(comps)
         b = vs_inverse(a)
         assert b.exact and b == inverse_by_degree(a)
+
+
+class TestInverseByComponents:
+    # the batched Newton steps against one composition and one ps_mul per
+    # component and Jacobian entry, bit for bit
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim, order", [(1, 16), (1, 33), (2, 9), (3, 6), (4, 5)])
+    def test_dense(self, dim, order, exact):
+        rng = np.random.default_rng([dim, order])
+        if exact:
+            if order > 9:
+                order = 9
+            a = rational_unit_linear(rng, dim, order)
+        else:
+            a = random_unit_linear(dim, order, rng, decay=2.0)
+        got, want = vs_inverse(a), inverse_by_components(a)
+        assert got.exact == exact
+        assert all(same_series(g, w) for g, w in zip(got.components, want.components))
 
 
 class TestDerivative:
