@@ -14,7 +14,6 @@ from .engine import (
     save_sequence,
     sheffer_apply,
     sheffer_inverse_apply,
-    umbral_apply_direct,
 )
 from .families import FamilySpec, lift_1d, make_family
 from .norms import (
@@ -48,7 +47,6 @@ from .series import (
 from .symtensor import (
     SymCoeff,
     WeightedInnerProduct,
-    from_dense,
     sym_contract,
     sym_norm,
     sym_product,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -33,7 +34,6 @@ from .engine import (
     save_sequence,
     sheffer_apply,
     sheffer_inverse_apply,
-    umbral_apply_direct,
 )
 from .families import FAMILY_KINDS, FamilySpec, make_family
 from .norms import (
@@ -48,6 +48,7 @@ from .series import (
     ScalarSeries,
     VectorSeries,
     finite_number,
+    graded_exponents,
     monomial_basis,
     ps_exp,
     ps_log,
@@ -451,15 +452,13 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
             worst = max(worst, _poly_errors(p, back, mid)[1])
     record("transform_roundtrip", worst, 1e-9)
 
-    # combinatorial path equivalence
-    a2, _ = make_family(FamilySpec("falling", 2, 4))
-    s2 = build_sheffer(a2, None, 4)
-    worst = 0.0
-    for _ in range(3):
-        p = random_polynomial(2, 4, rng)
-        worst = max(worst, _poly_errors(sheffer_apply(s2, p),
-                                        umbral_apply_direct(a2, p))[0])
-    record("path_equivalence", worst, 1e-10)
+    # falling factorials factor over the variables: the exact d=2 matrix is
+    # V[beta, gamma] = V1[beta_1, gamma_1] V1[beta_2, gamma_2] of the d=1 one
+    v1, v2 = (build_sheffer(*make_family(FamilySpec("falling", d, 6), exact=True), 6).matrix
+              for d in (1, 2))
+    exps = graded_exponents(2, 6)
+    kron = v1[np.ix_(exps[:, 0], exps[:, 0])] * v1[np.ix_(exps[:, 1], exps[:, 1])]
+    record("falling_kronecker", np.count_nonzero(v2 != kron), 0.0)
 
     # generating function reproduction
     charlier = build_sheffer(*make_family(FamilySpec("charlier", 1, 8)), 8)
@@ -551,8 +550,11 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho", help="custom: scalar series JSON file or 'one'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the globals are accepted before and after the subcommand; SUPPRESS keeps
+    # Built once per process: parse_args reads the parser and writes only the
+    # namespace it returns, so no call sees another call's options.  The
+    # globals are accepted before and after the subcommand; SUPPRESS keeps
     # either parser from clobbering a value the other parsed, and RunConfig
     # supplies the defaults.  No parser takes abbreviations: a prefix such as
     # --l would otherwise select --laguerre-k in a command that has no --l.

@@ -74,7 +74,7 @@ from .series import (
     ps_recip,
     vs_inverse,
 )
-from .symtensor import SymCoeff, sym_norm, to_dense, from_dense
+from .symtensor import SymCoeff, sym_norm
 
 __all__ = [
     "PolynomialOnDual",
@@ -84,7 +84,6 @@ __all__ = [
     "build_sheffer",
     "sheffer_apply",
     "sheffer_inverse_apply",
-    "umbral_apply_direct",
     "binomial_check",
     "BinomialReport",
     "random_polynomial",
@@ -441,67 +440,7 @@ def sheffer_inverse_apply(seq: ShefferSequence, p: PolynomialOnDual) -> Polynomi
     return _graded_apply(seq, seq.inverse_matrix, p)
 
 
-# -- independent combinatorial route ----------------------------------------
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual) -> PolynomialOnDual:
-    """Umbral transform computed from the multinomial expansion directly.
-
-    psi_m = (1/m!) sum over compositions (k_1..k_m) of n of
-            n! (A_{k_1} (x) ... (x) A_{k_m}) phi_n,
-
-    realized with dense tensors and slot contractions.  This is a
-    cross-check path for the generating-function extraction and is budgeted
-    to small sizes.
-    """
-    if not a.unit_linear:
-        raise ValueError("the degree-1 part of A must be the identity map")
-    d = a.dim_in
-    deg = p.trimmed().degree
-    if d > 2 or deg > 6:
-        raise ValueError("combinatorial path budget exceeded (d<=2, N<=6)")
-    kernels: dict[int, list[np.ndarray]] = {}
-    for k in range(1, deg + 1):
-        kernels[k] = [
-            to_dense(SymCoeff(d, k, comp.degree_part(k)))
-            for comp in a.components
-        ]
-    psi_dense: dict[int, np.ndarray] = {m: np.zeros((d,) * m, dtype=complex)
-                                        for m in range(1, deg + 1)}
-    for n in range(1, deg + 1):
-        phi = p.coefficient(n)
-        if phi.is_zero:
-            continue
-        phi_dense = to_dense(phi).astype(complex)
-        nfact = math.factorial(n)
-        for m in range(1, n + 1):
-            scale = nfact / math.factorial(m)
-            for parts in _compositions(n, m):
-                # contract slot groups one by one; produced indices trail, so
-                # the not-yet-consumed slots stay at axes 0..rem-1
-                cur = phi_dense
-                rem = n
-                for k in parts:
-                    stacked = np.stack(kernels[k])
-                    cur = np.tensordot(cur, stacked,
-                                       axes=(tuple(range(rem - k, rem)),
-                                             tuple(range(1, k + 1))))
-                    rem -= k
-                psi_dense[m] += scale * cur
-    coeffs = [p.coefficient(0)]
-    for m in range(1, deg + 1):
-        coeffs.append(from_dense(_symmetrize(psi_dense[m]), dim=d))
-    return PolynomialOnDual.from_coeffs(d, coeffs).trimmed()
+# -- dense symmetrization (for check's tensor-layer oracle) -----------------
 
 
 def _symmetrize(tensor: np.ndarray) -> np.ndarray:

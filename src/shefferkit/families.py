@@ -123,8 +123,7 @@ class FamilySpec:
         if self.weights is None:
             return [_one(exact)] * self.dim
         if exact:
-            return [Fraction(w).limit_denominator(10 ** 12) if not float(w).is_integer()
-                    else int(w) for w in self.weights]
+            return [int(w) if float(w).is_integer() else Fraction(w) for w in self.weights]
         return [float(w) for w in self.weights]
 
     def to_json_dict(self) -> dict:

@@ -45,6 +45,7 @@ from .series import (
     _cmul,
     _coeff_vector,
     _common,
+    _rank,
     _rescaled,
     graded_size,
     json_field,
@@ -66,7 +67,6 @@ __all__ = [
     "sym_product",
     "sym_contract",
     "to_dense",
-    "from_dense",
     "DENSE_BUDGET",
 ]
 
@@ -312,6 +312,17 @@ def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:
     return SymCoeff.from_coeffs(phi.dim, n - k, out)
 
 
+@lru_cache(maxsize=None)
+def _slot_ranks(dim: int, degree: int) -> np.ndarray:
+    """Read-only array over the slot tuples (i_1..i_n) in C order: the rank in
+    monomial_basis(dim, degree) of the beta that counts their occurrences."""
+    rank = _rank(dim, degree)
+    ranks = np.array([rank[tuple(pos.count(i) for i in range(dim))]
+                      for pos in itertools.product(range(dim), repeat=degree)], dtype=np.intp)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def to_dense(phi: SymCoeff) -> np.ndarray:
     """Full d^n dense tensor; entry at slots (i_1..i_n) is c_beta * beta!/n!
     where beta counts slot occurrences."""
@@ -319,33 +330,10 @@ def to_dense(phi: SymCoeff) -> np.ndarray:
     if d ** n > DENSE_BUDGET:
         raise ValueError(f"dense budget exceeded: {d}^{n} > {DENSE_BUDGET}")
     exact = not phi.is_zero and phi.exact
-    out = np.zeros((d,) * n, dtype=object if exact else complex)
+    entries = np.zeros(len(phi.vec), dtype=object if exact else complex)
     if exact:
-        out[...] = Fraction(0)
-    nfact = math.factorial(n)
-    for pos in itertools.product(range(d), repeat=n):
-        beta = tuple(pos.count(i) for i in range(d))
-        c = phi.coefficient(beta)
-        if c == 0:
-            continue
-        out[pos] = _rescaled(c, multi_factorial(beta), nfact)
-    return out
-
-
-def from_dense(tensor: np.ndarray, dim: int | None = None) -> SymCoeff:
-    """Read a symmetric dense tensor back into monomial coefficients."""
-    t = np.asarray(tensor)
-    n = t.ndim
-    d = dim if n == 0 else t.shape[0]
-    if d is None:
-        raise ValueError("dim is required for a degree-0 tensor")
-    coeffs = {}
-    nfact = math.factorial(n)
-    for beta in monomial_basis(d, n) if n > 0 else [(0,) * d]:
-        # representative slot tuple: variable i repeated beta_i times
-        pos = tuple(i for i, e in enumerate(beta) for _ in range(e))
-        value = t[pos] if n > 0 else t[()]
-        if value == 0:
-            continue
-        coeffs[beta] = _rescaled(value, nfact, multi_factorial(beta))
-    return SymCoeff.from_coeffs(d, n, coeffs)
+        entries[:] = Fraction(0)
+    basis, nfact = monomial_basis(d, n), math.factorial(n)
+    for j in np.flatnonzero(phi.vec):
+        entries[j] = _rescaled(phi.vec[j], multi_factorial(basis[j]), nfact)
+    return entries[_slot_ranks(d, n)].reshape((d,) * n)

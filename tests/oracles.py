@@ -7,10 +7,13 @@ tensor algebra via numpy, and triangular solves.  The product-kernel oracles
 are the first constructions of the product table and of the pair gather,
 kept to pin the faster ones entry for entry, and the composition oracles
 are the routes that made one `ps_mul` per Horner step, per Jacobian entry
-and per block row, kept to pin the batched ones bit for bit.  The norm-check oracles
-take the long way round instead: one full graded apply per monomial, and
-one polynomial evaluation per sampled point.  The graded apply oracle takes
-the built blocks and multiplies them one (k, n) pair at a time, and the
+and per block row, kept to pin the batched ones bit for bit.  The dense
+tensor of a coefficient vector is filled one slot tuple at a time, to pin
+the library's gather, and the umbral transform is expanded over
+compositions with dense tensors.  The norm-check oracles take the long way
+round instead: one full graded apply per monomial, and one polynomial
+evaluation per sampled point.  The graded apply oracle takes the built
+blocks and multiplies them one (k, n) pair at a time, and the
 binomial-identity oracle convolves the built P_n one symmetric product at a
 time.
 """
@@ -25,9 +28,10 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import (ScalarSeries, VectorSeries, _product_table, graded_exponents,
-                               graded_size, monomial_basis, ps_derivative, ps_mul, vs_compose)
-from shefferkit.symtensor import SymCoeff, sym_norm, sym_product
+from shefferkit.series import (ScalarSeries, VectorSeries, _product_table, _rescaled,
+                               graded_exponents, graded_size, monomial_basis, multi_factorial,
+                               ps_derivative, ps_mul, vs_compose)
+from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, sym_norm, sym_product
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -132,6 +136,105 @@ def dense_contract(t: np.ndarray, f: np.ndarray, k: int) -> np.ndarray:
 
 def dense_pairing(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.asarray(a) * np.asarray(b)))
+
+
+def dense_by_slots(phi: SymCoeff) -> np.ndarray:
+    """Full d^n dense tensor, one coefficient lookup per slot tuple: the entry
+    at slots (i_1..i_n) is c_beta * beta!/n! where beta counts slot occurrences."""
+    d, n = phi.dim, phi.degree
+    if d ** n > DENSE_BUDGET:
+        raise ValueError(f"dense budget exceeded: {d}^{n} > {DENSE_BUDGET}")
+    exact = not phi.is_zero and phi.exact
+    out = np.zeros((d,) * n, dtype=object if exact else complex)
+    if exact:
+        out[...] = Fraction(0)
+    nfact = math.factorial(n)
+    for pos in itertools.product(range(d), repeat=n):
+        beta = tuple(pos.count(i) for i in range(d))
+        c = phi.coefficient(beta)
+        if c == 0:
+            continue
+        out[pos] = _rescaled(c, multi_factorial(beta), nfact)
+    return out
+
+
+def from_dense(tensor: np.ndarray, dim: int | None = None) -> SymCoeff:
+    """Read a symmetric dense tensor back into monomial coefficients."""
+    t = np.asarray(tensor)
+    n = t.ndim
+    d = dim if n == 0 else t.shape[0]
+    if d is None:
+        raise ValueError("dim is required for a degree-0 tensor")
+    coeffs = {}
+    nfact = math.factorial(n)
+    for beta in monomial_basis(d, n) if n > 0 else [(0,) * d]:
+        # representative slot tuple: variable i repeated beta_i times
+        pos = tuple(i for i, e in enumerate(beta) for _ in range(e))
+        value = t[pos] if n > 0 else t[()]
+        if value == 0:
+            continue
+        coeffs[beta] = _rescaled(value, nfact, multi_factorial(beta))
+    return SymCoeff.from_coeffs(d, n, coeffs)
+
+
+def _compositions(total: int, parts: int):
+    """Ordered tuples of `parts` positive integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def umbral_apply_direct(a: VectorSeries, p: PolynomialOnDual) -> PolynomialOnDual:
+    """Umbral transform computed from the multinomial expansion directly.
+
+    psi_m = (1/m!) sum over compositions (k_1..k_m) of n of
+            n! (A_{k_1} (x) ... (x) A_{k_m}) phi_n,
+
+    realized with dense tensors and slot contractions.  This is a
+    cross-check path for the generating-function extraction and is budgeted
+    to small sizes.
+    """
+    if not a.unit_linear:
+        raise ValueError("the degree-1 part of A must be the identity map")
+    d = a.dim_in
+    deg = p.trimmed().degree
+    if d > 2 or deg > 6:
+        raise ValueError("combinatorial path budget exceeded (d<=2, N<=6)")
+    kernels: dict[int, list[np.ndarray]] = {}
+    for k in range(1, deg + 1):
+        kernels[k] = [
+            dense_by_slots(SymCoeff(d, k, comp.degree_part(k)))
+            for comp in a.components
+        ]
+    psi_dense: dict[int, np.ndarray] = {m: np.zeros((d,) * m, dtype=complex)
+                                        for m in range(1, deg + 1)}
+    for n in range(1, deg + 1):
+        phi = p.coefficient(n)
+        if phi.is_zero:
+            continue
+        phi_dense = dense_by_slots(phi).astype(complex)
+        nfact = math.factorial(n)
+        for m in range(1, n + 1):
+            scale = nfact / math.factorial(m)
+            for parts in _compositions(n, m):
+                # contract slot groups one by one; produced indices trail, so
+                # the not-yet-consumed slots stay at axes 0..rem-1
+                cur = phi_dense
+                rem = n
+                for k in parts:
+                    stacked = np.stack(kernels[k])
+                    cur = np.tensordot(cur, stacked,
+                                       axes=(tuple(range(rem - k, rem)),
+                                             tuple(range(1, k + 1))))
+                    rem -= k
+                psi_dense[m] += scale * cur
+    coeffs = [p.coefficient(0)]
+    for m in range(1, deg + 1):
+        coeffs.append(from_dense(dense_symmetrize(psi_dense[m]), dim=d))
+    return PolynomialOnDual.from_coeffs(d, coeffs).trimmed()
 
 
 # -- series oracles --------------------------------------------------------------

@@ -52,6 +52,7 @@ from oracles import (
     laguerre_coeffs,
     random_unit_linear,
     rising_coeffs,
+    umbral_apply_direct,
 )
 
 SEED = 20260810
@@ -165,7 +166,6 @@ def test_criterion_4_operator_round_trip():
 
 
 def test_criterion_5_path_equivalence():
-    from shefferkit.engine import umbral_apply_direct
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     cases = [

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shefferkit import cli
 from shefferkit.cli import main
 from shefferkit.engine import PolynomialOnDual, load_sequence, sheffer_apply
 from shefferkit.series import ScalarSeries, VectorSeries
@@ -134,6 +135,17 @@ class TestTransformCommands:
 
 
 class TestReportCommands:
+    def test_check_suite(self, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        assert run(["check", "--seed", 4, "--out", out]) == 0
+        doc = finite_json(out)
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert doc["all_passed"] is True and len(checks) == len(doc["checks"])
+        assert checks["falling_kronecker"] == {"name": "falling_kronecker", "passed": True,
+                                               "measured": 0.0, "threshold": 0.0}
+        assert "path_equivalence" not in checks
+        assert "PASS falling_kronecker: 0.000e+00" in capsys.readouterr().out
+
     def test_bounds_report(self, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--kind", "falling", "--dim", 1,
@@ -292,6 +304,38 @@ class TestDeterminism:
         assert run(["check", "--seed", 3, "--out", two]) == 0
         assert one.read_bytes() == two.read_bytes()
         assert json.loads(one.read_text())["seed"] == 3
+
+
+class TestParserCache:
+    """One parser serves every call of a process and keeps nothing between calls."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_globals_do_not_carry_over(self, monkeypatch, tmp_path, where):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "probe", lambda cfg: seen.append(cfg) or 0)
+        probe = ["probe", "--kind", "falling", "--max-degree", 4]
+        flags = ["--seed", 5, "--format", "csv", "--out", tmp_path / "p.csv"]
+        assert run(flags + probe if where == "before" else probe + flags) == 0
+        assert run(probe) == 0
+        assert (seen[0].seed, seen[0].format, seen[0].out) == (5, "csv", str(tmp_path / "p.csv"))
+        assert (seen[1].seed, seen[1].format, seen[1].out) == (0, "json", None)
+
+    def test_usage_errors_after_use(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert run(["bounds", "--kind", "falling", "--max-degree", 4, "--l", 0,
+                    "--l-prime", 2, "--out", out]) == 0
+        for args in (["bounds", "--kind", "falling", "--max-degree", 4, "--l-p", 1],
+                     ["bounds", "--kind", "falling", "--max-degree", 4, "--l-", 1],
+                     ["diverge", "--kind", "laguerre", "--max-degree", 4, "--l", 2],
+                     ["bogus", "--kind", "falling"]):
+            with pytest.raises(SystemExit) as exc:
+                run(args + ["--out", tmp_path / "x.json"])
+            assert exc.value.code == 2, args
+            assert capsys.readouterr().err.count("usage:") == 1, args
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestConfig:

@@ -25,7 +25,6 @@ from shefferkit.engine import (
     sequence_to_json_dict,
     sheffer_apply,
     sheffer_inverse_apply,
-    umbral_apply_direct,
 )
 from shefferkit.families import FamilySpec, log1p_series, make_family, neg_log1m_series
 from shefferkit.series import (
@@ -52,6 +51,7 @@ from oracles import (
     random_series,
     random_unit_linear,
     rising_coeffs,
+    umbral_apply_direct,
 )
 
 

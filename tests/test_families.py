@@ -49,6 +49,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FamilySpec("falling", 2, 4, weights=(1.0,))
 
+    def test_exact_weights_are_the_doubles(self):
+        # the exact oracle transforms the float data itself: 0.3 is the double
+        # nearest 3/10, not 3/10
+        spec = FamilySpec("charlier", 3, 4, weights=(0.3, 2.0, 0.125))
+        got = spec.resolved_weights(exact=True)
+        assert got == [F(0.3), 2, F(1, 8)] and got[0] != F(3, 10)
+        assert [type(w) for w in got] == [F, int, F]
+        assert spec.resolved_weights() == [0.3, 2.0, 0.125]
+
     def test_json_roundtrip(self):
         spec = FamilySpec("hermite", 2, 6, cov=((2.0, 0.5), (0.5, 1.0)),
                           weights=(1.0, 2.0))

@@ -13,7 +13,6 @@ from shefferkit.symtensor import (
     WeightedInnerProduct,
     apply_slot_map,
     column_norms,
-    from_dense,
     sym_contract,
     sym_dual_norm,
     sym_norm,
@@ -21,7 +20,9 @@ from shefferkit.symtensor import (
     to_dense,
 )
 
-from oracles import dense_contract, dense_pair, dense_pairing, dense_sym_product
+from conftest import bits
+from oracles import (dense_by_slots, dense_contract, dense_pair, dense_pairing,
+                     dense_sym_product, from_dense)
 
 
 def random_symcoeff(dim, degree, rng):
@@ -217,6 +218,56 @@ class TestDense:
         phi = SymCoeff.from_coeffs(4, 7, {(7, 0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             to_dense(phi)
+
+
+SHAPES = [(d, n) for d in range(1, 5) for n in range(7) if d ** n <= 4096]
+
+
+class TestDenseGather:
+    """to_dense against the slot-by-slot oracle: same dtype, shape and bits."""
+
+    @staticmethod
+    def assert_same(phi):
+        got, want = to_dense(phi), dense_by_slots(phi)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert bits(got) == bits(want)
+        if got.dtype == object:
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dim,degree", SHAPES)
+    def test_float(self, rng, dim, degree):
+        for _ in range(3):
+            self.assert_same(random_symcoeff(dim, degree, rng))
+
+    @pytest.mark.parametrize("dim,degree", SHAPES)
+    def test_exact(self, rng, dim, degree):
+        basis = monomial_basis(dim, degree)
+        for _ in range(3):
+            vals = [F(int(v), int(w)) if v % 3 else int(v)
+                    for v, w in zip(rng.integers(-9, 10, len(basis)),
+                                    rng.integers(1, 12, len(basis)))]
+            self.assert_same(SymCoeff.from_coeffs(dim, degree, dict(zip(basis, vals))))
+
+    @pytest.mark.parametrize("dim,degree", SHAPES)
+    def test_zero(self, dim, degree):
+        size = len(monomial_basis(dim, degree))
+        self.assert_same(SymCoeff.zero(dim, degree))
+        self.assert_same(SymCoeff(dim, degree, np.zeros(size, dtype=object)))
+        self.assert_same(SymCoeff(dim, degree, np.full(size, -0.0 - 0.0j)))
+
+    def test_special_values(self):
+        # -0.0 parts read as zero, a subnormal scales with one rounding, and
+        # an entry that is not finite becomes NaN + NaN j in both
+        vec = np.array([-0.0 + 1.0j, 1e308 + 0j, np.inf + 0j, np.nan + 2j, 0j,
+                        3.0 - 0.0j, 1e-320 + 0j, -0.0 - 0.0j, 1.0, 2.0], dtype=complex)
+        self.assert_same(SymCoeff(3, 3, vec))
+
+    @pytest.mark.parametrize("dim,degree", [(4, 7), (2, 13), (5, 6), (3, 8)])
+    def test_budget(self, dim, degree):
+        phi = SymCoeff.from_coeffs(dim, degree, {(degree,) + (0,) * (dim - 1): 1.0})
+        for route in (to_dense, dense_by_slots):
+            with pytest.raises(ValueError, match="dense budget exceeded"):
+                route(phi)
 
 
 class TestWeights:
