@@ -352,14 +352,18 @@ def _hermite_coeffs(n: int) -> list[float]:
 
 
 def _run_checks(cfg: RunConfig) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
     checks: list[dict] = []
 
     def record(name: str, measured: float, threshold: float) -> None:
         checks.append({"name": name, "passed": bool(measured <= threshold),
                        "measured": float(measured), "threshold": float(threshold)})
 
-    def rand_series(dim, order, nnz_scale=0.5):
+    def stream(i: int) -> np.random.Generator:
+        # Each check that draws has its own stream, index i fixed to it, so
+        # no check's figures depend on how many draws another one makes.
+        return np.random.default_rng([cfg.seed, i])
+
+    def rand_series(rng, dim, order, nnz_scale=0.5):
         terms = {}
         for deg in range(order + 1):
             for b in monomial_basis(dim, deg):
@@ -367,9 +371,10 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
         return ScalarSeries.from_terms(dim, order, terms)
 
     # ring laws
+    rng = stream(0)
     worst = 0.0
     for _ in range(5):
-        a, b, c = (rand_series(2, 5) for _ in range(3))
+        a, b, c = (rand_series(rng, 2, 5) for _ in range(3))
         lhs = ps_mul(ps_mul(a, b), c)
         rhs = ps_mul(a, ps_mul(b, c))
         d1 = lhs - rhs
@@ -379,9 +384,10 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
     record("series_ring_laws", worst, 1e-12)
 
     # exp/log and recip round trips
+    rng = stream(1)
     worst = 0.0
     for _ in range(5):
-        z = rand_series(2, 6, 0.3)
+        z = rand_series(rng, 2, 6, 0.3)
         z = z - ScalarSeries.constant(2, 6, z.constant_term)
         back = ps_log(ps_exp(z)) - z
         worst = max(worst, *(abs(complex(v)) for v in back.terms.values()), 0.0)
@@ -391,11 +397,12 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
     record("series_exp_log_recip", worst, 1e-12)
 
     # compositional inverse round trip
+    rng = stream(2)
     worst = 0.0
     for _ in range(3):
         comps = []
         for i in range(2):
-            s = rand_series(2, 6, 0.4)
+            s = rand_series(rng, 2, 6, 0.4)
             terms = {exps: c for exps, c in s.terms.items() if 2 <= sum(exps)}
             e = [0, 0]
             e[i] = 1
@@ -410,6 +417,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
     record("series_inverse_roundtrip", worst, 1e-12)
 
     # tensor layer against dense oracle
+    rng = stream(3)
     worst = 0.0
     for _ in range(20):
         d = int(rng.integers(1, 4))
@@ -436,11 +444,12 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
     record("family_hermite", worst, 1e-10)
 
     # binomial identity
-    rep = binomial_check(falling, trials=max(1, cfg.trials // 2), rng=rng,
+    rep = binomial_check(falling, trials=max(1, cfg.trials // 2), rng=stream(4),
                          max_degree=6)
     record("binomial_falling", rep.max_deviation, 1e-9)
 
     # transform round trips per family
+    rng = stream(5)
     worst = 0.0
     for kind, kpar in (("falling", 0.0), ("hermite", 0.0), ("charlier", 0.0),
                        ("laguerre", 2.0)):
@@ -462,6 +471,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
 
     # generating function reproduction
     charlier = build_sheffer(*make_family(FamilySpec("charlier", 1, 8)), 8)
+    rng = stream(6)
     worst = 0.0
     for _ in range(10):
         w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
@@ -475,6 +485,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
     record("gf_reproduction", worst, 1e-8)
 
     # embeddings
+    rng = stream(7)
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         for _ in range(3):

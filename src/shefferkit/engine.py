@@ -24,9 +24,10 @@ Riordan array.
 
 The matrix is block upper triangular with identity diagonal blocks, from
 the unit linear part of A and rho(0) = 1; monicity is asserted after every
-build, and `blocks` holds read-only views of the blocks.  In float mode the
-top blocks are exactly the identity too: their coefficients are exact
-products of ones, and their weight gamma!/beta! divides a float by itself.
+build, and `blocks` makes a read-only view of a block each time one is
+read.  In float mode the top blocks are exactly the identity too: their
+coefficients are exact products of ones, and their weight gamma!/beta!
+divides a float by itself.
 
 The inverse transform is the graded transform of the same shape built from
 the compositional inverse B of A: substituting xi = B(zeta) in G gives
@@ -49,6 +50,8 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -211,10 +214,65 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
         yield raw
 
 
+def _graded_offsets(dim: int, top: int) -> list[int]:
+    """Index of the first monomial of each degree 0..top + 1 in the graded basis."""
+    return [graded_size(dim, n - 1) for n in range(top + 2)]
+
+
+class _BlockViews(MutableMapping):
+    """The blocks V[k, n], 0 <= k <= n <= N, of a graded matrix, keyed (k, n)
+    in the order n ascending, then k ascending.
+
+    Reading a block makes a fresh view matrix[off[k]:off[k+1], off[n]:off[n+1]]
+    (read-only when the matrix is); none is kept.  Assigning a block stores a
+    replacement that only this mapping returns: the matrix, and so every
+    transform, is unchanged.  Blocks cannot be deleted.
+    """
+
+    __slots__ = ("matrix", "offsets", "_replaced")
+
+    def __init__(self, matrix: np.ndarray, offsets: list[int]) -> None:
+        self.matrix = matrix
+        self.offsets = offsets
+        self._replaced: dict[tuple[int, int], object] = {}
+
+    def _key(self, key) -> tuple[int, int]:
+        try:
+            k, n = key
+            k, n = operator.index(k), operator.index(n)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not 0 <= k <= n < len(self.offsets) - 1:
+            raise KeyError(key)
+        return k, n
+
+    def __getitem__(self, key):
+        k, n = self._key(key)
+        if (k, n) in self._replaced:
+            return self._replaced[k, n]
+        off = self.offsets
+        return self.matrix[off[k]:off[k + 1], off[n]:off[n + 1]]
+
+    def __setitem__(self, key, value) -> None:
+        self._replaced[self._key(key)] = value
+
+    def __delitem__(self, key) -> None:
+        raise TypeError("blocks of a graded matrix cannot be deleted")
+
+    def __iter__(self):
+        top = len(self.offsets) - 2
+        return ((k, n) for n in range(top + 1) for k in range(n + 1))
+
+    def __len__(self) -> int:
+        top = len(self.offsets) - 2
+        return (top + 1) * (top + 2) // 2
+
+
 def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
-                     ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+                     ) -> tuple[np.ndarray, _BlockViews]:
     """Read-only graded matrix of the transform with generating function
-    exp[<w, vec(xi)>] * factor(xi), and its blocks V[k, n] as views.
+    exp[<w, vec(xi)>] * factor(xi), and the mapping that makes its blocks
+    V[k, n] as views when they are read.
 
     Expanding <w, vec>^k / k! = sum_{|beta|=k} w^beta vec^beta / beta! gives
 
@@ -233,7 +291,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     ValueError naming the lowest degree at which that happens.
     """
     d = vec.dim_in
-    offsets = [graded_size(d, n - 1) for n in range(order + 2)]
+    offsets = _graded_offsets(d, order)
     fact = [multi_factorial(gamma) for gamma in graded_exponents(d, order).tolist()]
     ffact = np.array([_float_or_inf(f) for f in fact])
     mat = np.full((len(fact),) * 2, Fraction(0) if exact else 0j)
@@ -251,8 +309,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
             for r, col in zip(*np.nonzero(~np.isfinite(rows))):
                 rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
     mat.flags.writeable = False
-    blocks = {(k, n): mat[offsets[k]:offsets[k + 1], offsets[n]:offsets[n + 1]]
-              for n in range(order + 1) for k in range(n + 1)}
+    blocks = _BlockViews(mat, offsets)
     if not exact and not np.isfinite(mat).all():
         k, n = next(key for key, block in blocks.items()  # by degree n, lowest first
                     if not np.isfinite(block).all())
@@ -262,14 +319,17 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
 
 
 class ShefferSequence:
-    """Graded matrix and blocks of one Sheffer sequence, plus its defining data.
+    """Graded matrices of one Sheffer sequence, plus its defining data.
 
-    Immutable after construction; the inverse matrix and blocks are
-    materialized lazily on first use of inverse_blocks and cached.
+    `blocks` and `inverse_blocks` map (k, n) to the block V[k, n] of `matrix`
+    and `inverse_matrix`, each view made when it is read.  Replacing a block
+    there changes only what that mapping returns; the transforms read the
+    matrices.  The inverse matrix is built on first use of inverse_blocks or
+    inverse_matrix and cached.
     """
 
     def __init__(self, dim: int, max_degree: int, matrix: np.ndarray,
-                 blocks: dict[tuple[int, int], np.ndarray],
+                 blocks: _BlockViews,
                  a: VectorSeries, rho: ScalarSeries | None,
                  theta_series: ScalarSeries, kappa_series: ScalarSeries,
                  exact: bool) -> None:
@@ -283,7 +343,7 @@ class ShefferSequence:
         self.kappa_series = kappa_series
         self.exact = exact
         self._inverse_matrix: np.ndarray | None = None
-        self._inverse_blocks: dict[tuple[int, int], np.ndarray] | None = None
+        self._inverse_blocks: _BlockViews | None = None
         self._b: VectorSeries | None = None
 
     @functools.cached_property
@@ -312,7 +372,7 @@ class ShefferSequence:
         return self._b
 
     @property
-    def inverse_blocks(self) -> dict[tuple[int, int], np.ndarray]:
+    def inverse_blocks(self) -> _BlockViews:
         if self._inverse_blocks is None:
             factor = (self.kappa_series if self.rho is None  # both are 1
                       else self.rho.truncate(self.max_degree))
@@ -362,7 +422,7 @@ def _graded_apply(seq: ShefferSequence, mat: np.ndarray, p: PolynomialOnDual) ->
         raise DegreeOverflowError(
             f"polynomial degree {deg} exceeds built order {seq.max_degree}")
     dtype = object if seq.exact else complex
-    offsets = [graded_size(seq.dim, n - 1) for n in range(deg + 2)]
+    offsets = _graded_offsets(seq.dim, deg)
     acc = np.zeros(offsets[-1], dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, phi in enumerate(p.coeffs[:deg + 1]):
@@ -515,15 +575,18 @@ def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator) -> Po
 # -- sequence files ----------------------------------------------------------
 
 
-def _block_bytes(mat: np.ndarray) -> bytes:
-    return np.ascontiguousarray(mat.astype(complex)).astype("<c16").tobytes()
-
-
 # Sequence files carry this tag.  Files of an earlier format (untagged, or
 # 2 and up, each written before a builder change that can move the last bits
 # of float blocks) load while their blocks match a fresh build bit for bit; a
 # block that does not asks for the file to be regenerated.
 SEQUENCE_FORMAT = 4
+
+
+def _stored_blocks(seq: ShefferSequence) -> _BlockViews:
+    """The blocks of the forward matrix as stored in sequence files: views of
+    one little-endian complex128 copy, whose tobytes() is row-major."""
+    stored = seq.matrix.astype(complex).astype("<c16", copy=False)
+    return _BlockViews(stored, _graded_offsets(seq.dim, seq.max_degree))
 
 
 def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> dict:
@@ -538,8 +601,8 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
     }
     if include_blocks:
         blocks = {}
-        for (k, n), mat in sorted(seq.blocks.items()):
-            raw = _block_bytes(mat)
+        for (k, n), mat in _stored_blocks(seq).items():
+            raw = mat.tobytes()
             blocks[f"{k},{n}"] = {
                 "rows": int(mat.shape[0]),
                 "cols": int(mat.shape[1]),
@@ -551,8 +614,8 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
 
 
 def sequence_from_json_dict(doc: dict) -> ShefferSequence:
-    """Rebuild from (A, rho); stored blocks, when present, are verified
-    against the recomputation through their checksums."""
+    """Rebuild from (A, rho); stored blocks, when present, must match their
+    checksums and then the recomputation, byte for byte."""
     doc = json_object(doc, "sequence")
     version = doc.get("format_version")
     if version is not None and not (type(version) is int and 2 <= version <= SEQUENCE_FORMAT):
@@ -560,8 +623,12 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     a = VectorSeries.from_json_dict(doc.get("a"))
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
     seq = build_sheffer(a, rho, json_field(doc, "max_degree", int))
+    entries = json_object(doc.get("blocks") or {}, "blocks")
+    if not entries:
+        return seq
     keys = {f"{k},{n}": (k, n) for k, n in seq.blocks}
-    for key, entry in json_object(doc.get("blocks") or {}, "blocks").items():
+    recomputed = _stored_blocks(seq)
+    for key, entry in entries.items():
         if key not in keys:
             raise ValueError(f"block key {key!r} must be 'k,n' with integers "
                              f"0 <= k <= n <= {seq.max_degree}")
@@ -571,8 +638,7 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
         raw = base64.b64decode(entry["data"])
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise ValueError(f"corrupt block {key}: stored checksum mismatch")
-        recomputed = _block_bytes(seq.blocks[keys[key]])
-        if hashlib.sha256(recomputed).hexdigest() == entry["sha256"]:
+        if raw == recomputed[keys[key]].tobytes():
             continue
         if version != SEQUENCE_FORMAT:
             raise ValueError(

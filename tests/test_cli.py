@@ -146,6 +146,20 @@ class TestReportCommands:
         assert "path_equivalence" not in checks
         assert "PASS falling_kronecker: 0.000e+00" in capsys.readouterr().out
 
+    def test_check_streams_are_independent(self, tmp_path):
+        # --trials changes only binomial_falling's draws; each check draws
+        # from its own stream, so every later check reports the same figure
+        measured = []
+        for trials in (20, 4):
+            out = tmp_path / f"check{trials}.json"
+            assert run(["check", "--seed", 3, "--trials", trials, "--out", out]) == 0
+            measured.append({c["name"]: c["measured"] for c in finite_json(out)["checks"]})
+        names = list(measured[0])
+        later = names[names.index("binomial_falling") + 1:]
+        assert "gf_reproduction" in later and "embedding_inequalities" in later
+        assert [measured[0][n] for n in later] == [measured[1][n] for n in later]
+        assert measured[0]["binomial_falling"] != measured[1]["binomial_falling"]
+
     def test_bounds_report(self, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--kind", "falling", "--dim", 1,

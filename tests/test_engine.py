@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -399,6 +401,87 @@ class TestApplyByBlocks:
             scale = np.abs(mat) @ np.abs(graded_vector(p, order))
             err = np.abs(graded_vector(got, order) - graded_vector(want, order))
             assert np.all(err <= 1e-15 * scale)
+
+
+def views_by_dict(mat, dim, order):
+    """The blocks as one dict of views, in the order the builder used to make it."""
+    off = [graded_size(dim, n - 1) for n in range(order + 2)]
+    return {(k, n): mat[off[k]:off[k + 1], off[n]:off[n + 1]]
+            for n in range(order + 1) for k in range(n + 1)}
+
+
+class TestBlockViews:
+    """seq.blocks and seq.inverse_blocks make their views on demand and
+    behave as the dict of views they replace."""
+
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 6), (3, 4)])
+    def test_order_and_views_match_the_dict(self, dim, order, rng):
+        seq = build_sheffer(*dense_pair(dim, order, rng), order)
+        for mat, blocks in ((seq.matrix, seq.blocks), (seq.inverse_matrix, seq.inverse_blocks)):
+            want = views_by_dict(mat, dim, order)
+            assert list(blocks) == list(want)
+            assert [key for key, _ in blocks.items()] == list(want)
+            assert [key for key, _ in sorted(blocks.items())] == sorted(want)
+            for got, block in zip(blocks.values(), want.values()):
+                assert got.shape == block.shape and bits(got) == bits(block)
+            assert len(blocks) == len(want) == (order + 1) * (order + 2) // 2
+
+    def test_membership_and_bad_keys(self):
+        blocks = falling_seq(4, exact=False).blocks
+        assert (0, 0) in blocks and (2, 4) in blocks and (4, 4) in blocks
+        assert (np.int64(1), np.int64(3)) in blocks
+        assert blocks[(np.int64(1), np.int64(3))].shape == (1, 1)
+        bad = [(3, 2), (0, 5), (5, 5), (-1, 2), (0, -1), (1.0, 2), (1, 2.0), ("1", "2"),
+               "1,2", (1,), (1, 2, 3), None, 3]
+        for key in bad:
+            assert key not in blocks
+            with pytest.raises(KeyError):
+                blocks[key]
+            with pytest.raises(KeyError):
+                blocks[key] = np.zeros((1, 1))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_views_are_read_only_and_share_the_matrix(self, exact):
+        seq = build_sheffer(*make_family(FamilySpec("charlier", 2, 5), exact=exact), 5)
+        for mat, blocks in ((seq.matrix, seq.blocks), (seq.inverse_matrix, seq.inverse_blocks)):
+            for block in blocks.values():
+                assert not block.flags.writeable
+                assert block.base is mat and np.shares_memory(block, mat)
+                with pytest.raises(ValueError):
+                    block[0, 0] = 7
+            assert blocks[(1, 3)] is not blocks[(1, 3)]  # made per read, not kept
+
+    def test_replacement_stays_in_the_mapping(self, rng):
+        seq = build_sheffer(*dense_pair(2, 5, rng), 5)
+        p = random_polynomial(2, 5, rng)
+        before = sheffer_apply(seq, p)
+        replaced = np.zeros_like(seq.blocks[(0, 5)])
+        seq.blocks[(0, 5)] = replaced
+        assert seq.blocks[(0, 5)] is replaced and dict(seq.blocks.items())[(0, 5)] is replaced
+        assert np.any(views_by_dict(seq.matrix, 2, 5)[(0, 5)])
+        after = sheffer_apply(seq, p)
+        assert all(bits(c.vec) == bits(w.vec) for c, w in zip(after.coeffs, before.coeffs))
+        assert len(seq.blocks) == 21
+        with pytest.raises(TypeError):
+            del seq.blocks[(0, 5)]
+
+    def test_a_sequence_keeps_little_beyond_its_matrices(self):
+        # the benchmark's dense-deep case at its largest N: forward and
+        # inverse together keep less than twice their matrices (a dict of
+        # views per direction kept about 8x)
+        a, rho = dense_pair(1, 128, np.random.default_rng([1, 128]))
+        build_sheffer(a, rho, 128).inverse_matrix  # fills the caches first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq = build_sheffer(a, rho, 128)
+            seq.inverse_blocks
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * (seq.matrix.nbytes + seq.inverse_matrix.nbytes)
 
 
 def rational_pair(dim, order, rng):
