@@ -118,6 +118,8 @@ class RunConfig:
             raise ValueError(f"format must be json or csv, got {cfg.format!r}")
         if cfg.trials < 1:
             raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {cfg.seed}")
         return cfg
 
 

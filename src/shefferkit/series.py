@@ -31,9 +31,13 @@ degree part computed once from the lower ones.  Composition is Horner's
 scheme (4.6.4) run in lockstep: one variable at a time, innermost first,
 every Horner chain of that variable, across several outer series, takes
 each step in one batched product, about f.dim * N of them per composition.
-The compositional inverse is Newton doubling, each step one lockstep
-composition of all components and one batched product per column of the
-Jacobian (`ps_derivative`).
+Each step forms only the degrees that can still reach the result: a chain
+that will be multiplied k more times needs its degrees 0..N - k, so a 1-d
+composition forms about N^3/6 pair products instead of N^3/2 (the count of
+Brent & Kung, J. ACM 1978), and takes the operand order of the untruncated
+step, so dense compositions keep its bits.  The compositional inverse is
+Newton doubling, each step one lockstep composition of all components and
+one batched product per column of the Jacobian (`ps_derivative`).
 """
 
 from __future__ import annotations
@@ -469,6 +473,8 @@ def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     sorted ascending.  The partners of row r are then one run of `ib`, the
     entries of degree lo - deg ia[r] .. hi - deg ia[r], so only the pairs
     that are kept are ever formed."""
+    if not 0 <= lo <= hi <= order:
+        raise ValueError(f"band {lo}..{hi} must lie in 0..{order}")
     room, starts = _room_starts(dim, order)
     shift, pos = room[ia], ib.searchsorted(starts)
     first, end = pos[lo:][shift], pos[hi + 1:][shift]
@@ -480,15 +486,16 @@ def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
 
 
 def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
-                ib: np.ndarray, vb: np.ndarray, mul) -> np.ndarray:
+                ib: np.ndarray, vb: np.ndarray, mul, hi: int | None = None) -> np.ndarray:
     """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
     over the pairs of entries (graded indices ia, ib; ib sorted ascending)
-    whose product has degree <= order, `mul` being the elementwise product;
-    the contributions to an entry are added in the order of ia, then of ib.
-    Exact operands are multiplied as integer numerators over one common
-    denominator each, and each nonzero output entry is reduced once: it
-    stays an int where that denominator is 1."""
-    rows, cols, targets = _pairs(dim, order, ia, ib, 0, order)
+    whose product has degree <= hi (default order; the entries above hi stay
+    zero), `mul` being the elementwise product; the contributions to an
+    entry are added in the order of ia, then of ib.  Exact operands are
+    multiplied as integer numerators over one common denominator each, and
+    each nonzero output entry is reduced once: it stays an int where that
+    denominator is 1."""
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, order if hi is None else hi)
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
     if va.dtype != object or vb.dtype != object:
         np.add.at(out, targets, mul(va[rows], vb[cols]))
@@ -502,36 +509,54 @@ def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
     return out
 
 
-def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """va * vb truncated at `order`, the outer loop over the operand with
-    fewer nonzero entries (va on a tie): the one-row case of `_mul_rows`."""
+def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
+              hi: int | None = None, padded: bool = False) -> np.ndarray:
+    """va * vb truncated at `order`, with only the output degrees 0..hi
+    formed (default `order`; the entries above hi stay zero).  The outer
+    loop runs over the operand with fewer nonzero entries, va on a tie, and
+    each product is outer * inner: the one-row case of `_mul_rows`.  A
+    `padded` va counts each of its entries of degree hi or more as nonzero."""
     ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
-    if len(ia) > len(ib):
+    hi = order if hi is None else hi
+    count = len(ia)
+    if padded:
+        cut = graded_size(dim, hi - 1)
+        count = int(ia.searchsorted(cut)) + len(va) - cut
+    if count > len(ib):
         ia, ib, va, vb = ib, ia, vb, va
-    return _accumulate(dim, order, ia, va[ia], ib, vb[ib], np.multiply)
+    return _accumulate(dim, order, ia, va[ia], ib, vb[ib], np.multiply, hi)
 
 
-def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray) -> None:
+def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
+              hi: int | None = None, padded: int = 0) -> None:
     """rows[r] <- rows[r] * b truncated at `order`, in place, for every row r
     of a C-contiguous 2-d array of graded vectors of degree <= order (rows
-    and b in one dtype); each row ends equal bit for bit to ps_mul of it by
-    b on its own.  Three rules keep it so:
+    and b in one dtype), with only the output degrees 0..hi formed (default
+    `order`; the entries above hi end zero).  Each row ends equal bit for
+    bit to `_mul_pair` of it by b on its own with the same hi, padded when
+    it is one of the first `padded` rows (by default, to ps_mul of it by
+    b).  Three rules keep it so:
 
     - Per row, the outer loop runs over the operand with fewer nonzero
-      entries (the row on a tie), and each product keeps the order row * b.
-      The rows on each side of that rule form one group with one `_pairs`
-      plan over the joint support of its rows.  A chunk of at most
-      _CHUNK_PAIRS pair products is gathered, its rows cleared and the
-      products accumulated into them.
+      entries (the row on a tie), each of the first `padded` rows counting
+      its entries of degree hi or more as nonzero, and each product is
+      outer * inner.  The rows on each side of that rule form one group
+      with one `_pairs` plan over the joint support of its rows.  A chunk
+      of at most _CHUNK_PAIRS pair products is gathered, its rows cleared
+      and the products accumulated into them.
     - An all-zero row is not multiplied (it becomes zeros), and an entry that
       is zero in its row but inside the joint support forms no product: no
-      0 * inf = NaN.
+      0 * inf = NaN.  A chunk of a single product is multiplied as
+      `_accumulate` multiplies, two 1-d arrays out of place: numpy rounds a
+      complex product of one element apart when it multiplies in place or
+      broadcasts.
     - Exact rows are integer numerators over one common denominator per row
       (and one for b); each nonzero output entry is reduced once and stays
       an int where the product of the two denominators is 1.
     """
+    hi = order if hi is None else hi
     if len(rows) == 1:
-        rows[0] = _mul_pair(dim, order, rows[0], b)
+        rows[0] = _mul_pair(dim, order, rows[0], b, hi, padded > 0)
         return
     if not rows.flags.c_contiguous:
         raise ValueError("_mul_rows needs C-contiguous rows")
@@ -552,15 +577,21 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray) -> None:
                                   for r, x in zip(owners, entries)]
     rows[nnz == 0] = 0
     width = rows.shape[1]
+    counts = nnz
+    if padded:
+        cut = graded_size(dim, hi - 1)
+        counts = nnz.copy()
+        counts[:padded] = np.count_nonzero(nonzero[:padded, :cut], axis=1) + width - cut
+    rows_first = counts <= len(ib)
     for rows_outer in (True, False):
-        sel = np.flatnonzero((nnz > 0) & (nnz <= len(ib)) if rows_outer else nnz > len(ib))
+        sel = np.flatnonzero((nnz > 0) & (rows_first == rows_outer))
         if not len(sel):
             continue
         joint = np.flatnonzero(nonzero[sel].any(axis=0))
         if rows_outer:
-            at, bt, targets = _pairs(dim, order, joint, ib, 0, order)
+            at, bt, targets = _pairs(dim, order, joint, ib, 0, hi)
         else:
-            bt, at, targets = _pairs(dim, order, ib, joint, 0, order)
+            bt, at, targets = _pairs(dim, order, ib, joint, 0, hi)
         at, bv = joint[at], b_vals[bt]
         step = max(1, _CHUNK_PAIRS // max(len(targets), 1))
         for lo in range(0, len(sel), step):
@@ -572,7 +603,11 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray) -> None:
                 pv, flat = bv, flat.reshape(-1)
             else:
                 av, pv, flat = av[keep], np.broadcast_to(bv, keep.shape)[keep], flat[keep]
-            np.multiply(av, pv, out=av) if rows_outer else np.multiply(pv, av, out=av)
+            if av.size == 1:  # as _accumulate multiplies: two 1-d arrays, out of place
+                av, pv = av.reshape(1), pv.reshape(1)
+                av = av * pv if rows_outer else pv * av
+            else:
+                np.multiply(av, pv, out=av) if rows_outer else np.multiply(pv, av, out=av)
             np.add.at(out, flat, av.reshape(-1))
     if exact:
         dens = [den * b_den for den in dens]
@@ -707,12 +742,27 @@ def _horner(f: np.ndarray, f_order: int, comps: list[np.ndarray], dim: int,
     variables, degree <= n, zero constant terms) substituted, truncated at n.
 
     Horner's scheme one variable at a time, innermost first, on the schedule
-    of `_horner_plan`: at each step of a level every chain that has started
-    is multiplied by comps[v], all of them in one `_mul_rows` call (which
-    skips the all-zero ones), and then the chains with a child of that power
-    add it, the leaves of level 0 being constants added to column 0.  Every
-    product and sum of a chain is the one, in the order, that chain would
-    make on its own.
+    of `_horner_plan`: at the step of a level for power k every chain that
+    has started is multiplied by comps[v], all of them in one `_mul_rows`
+    call (which skips the all-zero ones), and then the chains with a child
+    of that power add it, the leaves of level 0 being constants added to
+    column 0.  After that step a chain is multiplied by comps[v] k more
+    times, and comps[v] has no constant term, so only its degrees 0..n - k
+    can reach the result: the step forms only those output degrees, and a
+    step with n - k < 1 clears its chains without forming a product.
+
+    The outer operand of each product is the one the untruncated step would
+    take: the operand with fewer nonzero entries, the chain on a tie.  A
+    chain that the step before multiplied or cleared holds only children
+    past that step's band, where the untruncated chain also holds that
+    product, so it goes to `_mul_rows` padded: each of those entries counts
+    as nonzero, as it is when the chain and comps[v] are dense.  Each kept entry then gets the sum, in
+    the order, that the untruncated step gives it, and dense compositions
+    keep the bits of untruncated steps.  Where the untruncated entries past
+    the band are not all nonzero (a sparse comps[v], or f of higher order
+    than n), the order, and the last bits, can differ.  Every product and
+    sum of a chain is the one, in the order, that chain would make on its
+    own.
     """
     leaf_rows, leaf_idx, levels, tops = _horner_plan(
         len(comps), f_order, len(f), (f != 0).tobytes())
@@ -723,9 +773,13 @@ def _horner(f: np.ndarray, f_order: int, comps: list[np.ndarray], dim: int,
         acc = np.zeros((count, len(comp)), dtype=dtype)
         width = vals.shape[1]
         block = max(1, _CHUNK_PAIRS // width)  # child rows added at once
-        for live, targets, sources in steps:
-            if live:
-                _mul_rows(dim, n, acc[:live], comp)
+        prev = 0  # the chains that the step before multiplied or cleared
+        for k, (live, targets, sources) in zip(range(len(steps) - 1, -1, -1), steps):
+            if live and k < n:
+                _mul_rows(dim, n, acc[:live], comp, n - k, padded=prev)
+            elif live:
+                acc[:live] = 0
+            prev = live
             for lo in range(0, len(targets), block):
                 acc[targets[lo:lo + block], :width] += vals[sources[lo:lo + block]]
         vals = acc

@@ -6,12 +6,13 @@ integer products, three-term recurrences, finite combinatorial sums, dense
 tensor algebra via numpy, and triangular solves.  The product-kernel oracles
 are the first constructions of the product table and of the pair gather,
 kept to pin the faster ones entry for entry, and the composition oracles
-are the routes that made one `ps_mul` per Horner step, per Jacobian entry
-and per block row, kept to pin the batched ones bit for bit.  The dense
-tensor of a coefficient vector is filled one slot tuple at a time, to pin
-the library's gather, and the umbral transform is expanded over
-compositions with dense tensors.  The norm-check oracles take the long way
-round instead: one full graded apply per monomial, and one polynomial
+are the routes that made one product per Horner step, per Jacobian entry
+and per block row, kept to pin the batched ones bit for bit; the first
+Horner construction, with untruncated steps, is kept to pin the truncated
+one.  The dense tensor of a coefficient vector is filled one slot tuple at
+a time, to pin the library's gather, and the umbral transform is expanded
+over compositions with dense tensors.  The norm-check oracles take the long
+way round instead: one full graded apply per monomial, and one polynomial
 evaluation per sampled point.  The graded apply oracle takes the built
 blocks and multiplies them one (k, n) pair at a time, and the
 binomial-identity oracle convolves the built P_n one symmetric product at a
@@ -28,9 +29,9 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import (ScalarSeries, VectorSeries, _product_table, _rescaled,
-                               graded_exponents, graded_size, monomial_basis, multi_factorial,
-                               ps_derivative, ps_mul, vs_compose)
+from shefferkit.series import (ScalarSeries, VectorSeries, _common, _mul_pair, _product_table,
+                               _rescaled, graded_exponents, graded_size, monomial_basis,
+                               multi_factorial, ps_derivative, ps_mul, vs_compose)
 from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, sym_norm, sym_product
 
 
@@ -375,10 +376,11 @@ def masked_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
 # -- composition oracles -----------------------------------------------------------
 
 
-def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
-    """ps_compose by its recursive construction: f's nonzero graded indices
-    grouped by the exponent of the last variable, the groups folded with one
-    ps_mul per exponent step, recursing on the remaining variables."""
+def _horner_rec(f: ScalarSeries, g: VectorSeries, step) -> ScalarSeries:
+    """The recursive Horner construction: f's nonzero graded indices grouped
+    by the exponent of the last variable, the groups folded from the largest
+    exponent `top` down with one product step(acc, comp, e, top) per
+    exponent e below it, recursing on the remaining variables."""
     n = min(f.max_degree, g.max_degree)
     dim = g.dim_in
     comps = [c.truncate(min(n, c.max_degree)) for c in g.components]
@@ -393,10 +395,11 @@ def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
             leaf[0] = value
             return ScalarSeries(dim, n, leaf)
         power = exps[idx, var]
+        top = power.max(initial=0)
         acc = zero
-        for e in range(power.max(initial=0), -1, -1):
+        for e in range(top, -1, -1):
             if not acc.is_zero:
-                acc = ps_mul(acc, comps[var])
+                acc = step(acc, comps[var], e, top)
             group = idx[power == e]
             if len(group):
                 acc = acc + rec(group, var - 1)
@@ -405,10 +408,35 @@ def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
     return rec(np.flatnonzero(f.vec), f.dim - 1)
 
 
-def inverse_by_components(a: VectorSeries) -> VectorSeries:
+def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
+    """ps_compose by its recursive construction, one truncated product per
+    Horner step.  After the step for exponent e the accumulator is
+    multiplied by the component e more times, so that step forms only the
+    output degrees 0..n - e (none when n - e < 1).  The outer operand is the
+    one with fewer nonzero entries, the accumulator on a tie; an accumulator
+    that the step before multiplied or cleared counts every entry past that
+    step's band as nonzero."""
+    def step(acc, comp, e, top):
+        dim, n = acc.dim, acc.max_degree
+        if n - e < 1:
+            return ScalarSeries.zero(dim, n)
+        va, vb = _common(acc.vec, comp.vec)
+        padded = e + 1 < top  # the step for e + 1 formed degrees 0..n - e - 1 at most
+        return ScalarSeries(dim, n, _mul_pair(dim, n, va, vb, n - e, padded))
+
+    return _horner_rec(f, g, step)
+
+
+def horner_compose_full(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
+    """ps_compose by its first recursive construction: one untruncated ps_mul
+    per Horner step."""
+    return _horner_rec(f, g, lambda acc, comp, e, top: ps_mul(acc, comp))
+
+
+def inverse_by_components(a: VectorSeries, compose=horner_compose) -> VectorSeries:
     """vs_inverse by its first construction: each Newton step composes the
-    components of a one at a time (horner_compose) and makes one ps_mul per
-    Jacobian entry (i, j), b_i updated in j order."""
+    components of a one at a time (`compose`, a Horner oracle) and makes one
+    ps_mul per Jacobian entry (i, j), b_i updated in j order."""
     n, dim = a.max_degree, a.dim_in
     orders = [n]
     while orders[-1] > 1:
@@ -418,7 +446,7 @@ def inverse_by_components(a: VectorSeries) -> VectorSeries:
         size = graded_size(dim, order)
         b_cur = [ScalarSeries(dim, order, v[:size].copy()) for v in b]
         inner = VectorSeries.from_components(b_cur)
-        residual = [horner_compose(c, inner) - ScalarSeries.variable(dim, order, j, exact=a.exact)
+        residual = [compose(c, inner) - ScalarSeries.variable(dim, order, j, exact=a.exact)
                     for j, c in enumerate(a.truncate(order).components)]
         for v, bi in zip(b, b_cur):
             for j, r in enumerate(residual):

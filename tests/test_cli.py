@@ -664,3 +664,17 @@ class TestExitCodes:
         assert run(["check", "--trials", trials]) == 2
         err = capsys.readouterr().err
         assert f"trials must be at least 1, got {trials}" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, via_config):
+        out = tmp_path / "check.json"
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            args = ["check", "--config", cfg, "--out", out]
+        else:
+            args = ["check", "--seed", -1, "--out", out]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative, got -1" in err and err.count("\n") == 1
+        assert not out.exists()

@@ -31,10 +31,12 @@ from shefferkit.symtensor import SymCoeff, sym_product
 
 from conftest import bits, series_diff, vector_diff
 from oracles import (
+    dense_pair,
     dict_product,
     exponent_sum_table,
     geometric_recip,
     horner_compose,
+    horner_compose_full,
     inverse_by_components,
     inverse_by_degree,
     masked_pairs,
@@ -307,6 +309,13 @@ class TestPairs:
                     assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
                         (ia_order, ib, lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [(0, -1), (0, -3), (3, 2), (-1, 2), (0, 6), (6, 6)])
+    def test_band_outside_order_rejected(self, lo, hi):
+        # a negative hi would otherwise slice the search positions from the end
+        ia = ib = np.arange(graded_size(2, 5))
+        with pytest.raises(ValueError, match=f"band {lo}..{hi} must lie in 0..5"):
+            _pairs(2, 5, ia, ib, lo, hi)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_product_table_matches_exponent_sums(self, dim):
         for order in range(7):
@@ -460,6 +469,17 @@ class TestMulRows:
         assert [bits(v) for v in batched(dim, order, rows, b)] == \
             [bits(v) for v in per_row(dim, order, rows, b)]
 
+    def test_chunk_of_one_product(self):
+        # one nonzero row entry meets one entry of b: the chunk holds a single
+        # product, which an in-place complex multiply can round differently
+        rng = np.random.default_rng(5)
+        size = graded_size(2, 3)
+        for _ in range(40):
+            rows, b = np.zeros((2, size), dtype=complex), np.zeros(size, dtype=complex)
+            rows[0, 0], b[1] = random_complex_vec(rng, 2)
+            assert [bits(v) for v in batched(2, 3, rows, b)] == \
+                [bits(v) for v in per_row(2, 3, rows, b)]
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_single_row(self, exact):
         rng = np.random.default_rng(3)
@@ -583,6 +603,101 @@ class TestLockstepCompose:
                 assert same_series(ps_compose(rho, a), horner_compose(rho, a))
             got, want = vs_inverse(a), inverse_by_components(a)
             assert all(same_series(g, w) for g, w in zip(got.components, want.components))
+
+
+class TestTruncatedHorner:
+    # each Horner step forms only the output degrees that can reach the result
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_outer_order_past_inner(self, dim, exact):
+        # f.max_degree = g.max_degree + 3: the steps for powers k >= n clear
+        # their chains without a product, so no empty band reaches _pairs
+        rng = np.random.default_rng([dim, exact])
+        order = {1: 9, 2: 6}[dim]
+        if exact:
+            f, g = rational_series(rng, dim, order + 3), rational_unit_linear(rng, dim, order)
+        else:
+            f, g = random_series(dim, order + 3, rng), random_unit_linear(dim, order, rng, 2.0)
+        got = ps_compose(f, g)
+        assert got.max_degree == order and got.exact == exact
+        assert same_series(got, horner_compose(f, g))
+        if exact:
+            assert got == horner_compose_full(f, g) == naive_compose(f, g)
+        else:
+            assert series_diff(got, naive_compose(f, g)) <= 1e-12
+
+    @pytest.mark.parametrize("what, dim, order, cap", [
+        ("compose", 1, 64, 65_000), ("inverse", 1, 64, 56_000), ("compose", 3, 8, 27_000)])
+    def test_pair_products_formed(self, monkeypatch, what, dim, order, cap):
+        # on the benchmark's dense (A, rho) the untruncated steps formed
+        # 131,104, 112,611 and 54,855 pairs; the banded ones half of that at most
+        a, rho = dense_pair(dim, order, np.random.default_rng([dim, order]))
+        formed = []
+
+        def counted(*args):
+            out = _pairs(*args)
+            formed.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(series, "_pairs", counted)
+        ps_compose(rho, a) if what == "compose" else vs_inverse(a)
+        assert 0 < sum(formed) <= cap
+
+    @pytest.mark.parametrize("dim, order", [(1, 48), (2, 9), (3, 6), (4, 5)])
+    def test_float_over_dense_inner_matches_untruncated(self, dim, order):
+        # dense and sparse outer series over a dense inner series: each step
+        # keeps the operand order of the untruncated one, so the bits stay
+        a, rho = dense_pair(dim, order, np.random.default_rng([dim, order]))
+        b = vs_inverse(a)
+        want = inverse_by_components(a, horner_compose_full)
+        assert all(same_series(g, w) for g, w in zip(b.components, want.components))
+        rng = np.random.default_rng([dim, order, 1])
+        sparse = [ScalarSeries(dim, order, np.where(rng.random(len(rho.vec)) < keep, rho.vec, 0))
+                  for keep in (0.6, 0.3, 0.1)]
+        pairs = [(rho, a)] + [(c, b) for c in a.components] + [(c, a) for c in b.components] \
+            + [(f, a) for f in sparse]
+        for f, g in pairs:
+            assert same_series(ps_compose(f, g), horner_compose_full(f, g))
+
+    @pytest.mark.parametrize("dim, order, seed", [(1, 12, 0), (2, 6, 1), (2, 6, 2), (3, 5, 0)])
+    def test_sparse_float_within_rounding(self, dim, order, seed):
+        # a sparse inner series can leave untruncated entries past a band
+        # zero, and then the operand order, and the last bits, may differ
+        # from the untruncated steps (they do here at d = 2 and 3)
+        rng = np.random.default_rng([dim, order, seed])
+
+        def thin(s, keep):
+            kept = np.where(rng.random(len(s.vec)) < keep, s.vec, 0)
+            return ScalarSeries(dim, s.max_degree, kept)
+
+        for keep in (0.6, 0.3):
+            f = thin(random_series(dim, order + 2, rng), keep)
+            g = VectorSeries.from_components(thin(random_series(dim, order, rng, constant=0), keep)
+                                             for _ in range(dim))
+            got = ps_compose(f, g)
+            assert same_series(got, horner_compose(f, g))
+            assert series_diff(got, horner_compose_full(f, g)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", CATALOG_KINDS)
+    def test_catalog_float_matches_untruncated(self, kind):
+        for dim, order in ((1, 16), (2, 7), (3, 5)):
+            a, rho = catalog(kind, dim, order, exact=False)
+            if rho is not None:
+                assert same_series(ps_compose(rho, a), horner_compose_full(rho, a))
+            got, want = vs_inverse(a), inverse_by_components(a, horner_compose_full)
+            assert all(same_series(g, w) for g, w in zip(got.components, want.components))
+
+    @pytest.mark.parametrize("f_dim, g_dim", [(1, 1), (2, 2), (3, 3), (2, 3), (3, 1)])
+    def test_exact_matches_untruncated(self, f_dim, g_dim):
+        rng = np.random.default_rng([f_dim, g_dim])
+        order = {1: 9, 2: 6, 3: 5}[max(f_dim, g_dim)]
+        for keep in (1.0, 0.4):
+            f = rational_series(rng, f_dim, order, keep)
+            g = VectorSeries.from_components(rational_series(rng, g_dim, order, keep, lowest=1)
+                                             for _ in range(f_dim))
+            assert ps_compose(f, g) == horner_compose_full(f, g)
+        a = rational_unit_linear(rng, g_dim, order)
+        assert vs_inverse(a) == inverse_by_components(a, horner_compose_full)
 
 
 class TestCompose:
