@@ -11,18 +11,20 @@ int) coefficients stores them in an object vector and switches every
 operation to exact rational arithmetic; nothing else changes.  There is no
 epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 
-Multiplication has one routine for both kinds of vector: a cached table maps
-a pair of graded indices to the index of the product monomial, one pair
-gather forms only the pairs of nonzero entries whose product lands in a band
-of degrees of the output, and their products are accumulated into it.
-Because the basis is graded, the partners of one entry in a sorted index set
-are one contiguous run of it, found by binary search, so a product truncated
-at N never forms the pairs whose degree passes N.  The batched kernel
-`_mul_rows` multiplies many series, the rows of one array, by one series
-with one gather plan over the rows' joint support, and gives each row the
-bits that multiplying it on its own gives; `ps_mul` is its one-row case.
-Exact vectors are multiplied as integer numerators over one common
-denominator per operand, with one normalisation per output entry instead of
+Multiplication serves both kinds of vector with one pair gather: a cached
+table maps a pair of graded indices to the index of the product monomial,
+the gather forms only the pairs of nonzero entries whose product lands in a
+band of degrees of the output, and their products, numpy's elementwise
+product, are accumulated into it.  Because the basis is graded, the partners
+of one entry in a sorted index set are one contiguous run of it, found by
+binary search, so a product truncated at N never forms the pairs whose
+degree passes N.  There are two kernels: `_mul_pair` multiplies two series
+(`ps_mul` and `symtensor.sym_product`), and `_mul_rows` multiplies many
+series, the rows of one array, by one series with one gather plan over the
+rows' joint support, and gives each row the bits `_mul_pair` gives it.  Both
+keep one exact rule, `_over_common_denominator`: exact vectors are
+multiplied as integer numerators over one common denominator per operand
+row, with one normalisation per output entry instead of
 a gcd for every product and every sum.  This is exact coefficient
 arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
 and the reciprocal are degree recurrences in the Euler operator
@@ -45,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -183,20 +186,6 @@ def _rescaled(value, num: int, den: int):
         return complex(math.nan, math.nan)
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a * b with each part rounded as Python's complex product,
-    (ar br - ai bi) + (ar bi + ai br) i; numpy's own complex multiply fuses
-    the multiply-adds on CPUs with FMA and then rounds differently.  Exact
-    operands multiply as they are."""
-    if a.dtype == object or b.dtype == object:
-        return a * b
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def monomial_values(exps: np.ndarray, points) -> np.ndarray:
     """x^beta for every exponent row beta of `exps` at every row x of
     `points`; shape (points, monomials).  The powers of the variables are
@@ -206,7 +195,7 @@ def monomial_values(exps: np.ndarray, points) -> np.ndarray:
         raise ValueError("point has wrong dimension")
     out = pts[:, :1] ** exps[:, 0]
     for j in range(1, exps.shape[1]):
-        out = _cmul(out, pts[:, j:j + 1] ** exps[:, j])
+        out = out * pts[:, j:j + 1] ** exps[:, j]
     return out
 
 
@@ -247,7 +236,7 @@ class CoeffVector:
         nonzero = np.flatnonzero(coeffs)
         exps = graded_exponents(self.dim, self._order)[self._lo:][nonzero]
         total = 0j
-        for term in _cmul(coeffs[nonzero], monomial_values(exps, [list(point)])[0]).tolist():
+        for term in (coeffs[nonzero] * monomial_values(exps, [list(point)])[0]).tolist():
             total += term
         return total
 
@@ -457,12 +446,17 @@ def _room_starts(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return room, starts
 
 
-def _over_common_denominator(vec: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer numerators and the lcm of the denominators of an exact vector,
-    so that vec = numerators / denominator."""
-    den = math.lcm(*(int(x.denominator) for x in vec))
-    return np.array([int(x.numerator) * (den // int(x.denominator)) for x in vec],
-                    dtype=object), den
+_numerator = np.frompyfunc(operator.attrgetter("numerator"), 1, 1)
+_denominator = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
+
+
+def _over_common_denominator(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Integer numerators and each row's lcm of denominators of a 2-d exact
+    array, so that rows[r] = numerators[r] / dens[r], in one vectorised pass
+    over the entries; an int keeps its value where its row's lcm is 1."""
+    den_of = _denominator(rows)
+    dens = np.lcm.reduce(den_of, axis=1, initial=1)
+    return _numerator(rows) * (dens[:, None] // den_of), dens.tolist()
 
 
 def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
@@ -485,37 +479,17 @@ def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     return rows, cols, _product_table(dim, order)[ia[rows], ib[cols]]
 
 
-def _accumulate(dim: int, order: int, ia: np.ndarray, va: np.ndarray,
-                ib: np.ndarray, vb: np.ndarray, mul, hi: int | None = None) -> np.ndarray:
-    """Graded vector of degree <= order holding sum mul(va, vb) x^(e_ia + e_ib)
-    over the pairs of entries (graded indices ia, ib; ib sorted ascending)
-    whose product has degree <= hi (default order; the entries above hi stay
-    zero), `mul` being the elementwise product; the contributions to an
-    entry are added in the order of ia, then of ib.  Exact operands are
-    multiplied as integer numerators over one common denominator each, and
-    each nonzero output entry is reduced once: it stays an int where that
-    denominator is 1."""
-    rows, cols, targets = _pairs(dim, order, ia, ib, 0, order if hi is None else hi)
-    out = np.zeros(graded_size(dim, order), dtype=va.dtype)
-    if va.dtype != object or vb.dtype != object:
-        np.add.at(out, targets, mul(va[rows], vb[cols]))
-        return out
-    (na, da), (nb, db) = _over_common_denominator(va), _over_common_denominator(vb)
-    np.add.at(out, targets, na[rows] * nb[cols])
-    den = da * db
-    if den != 1:
-        nonzero = np.flatnonzero(out)
-        out[nonzero] = [Fraction(num, den) for num in out[nonzero]]
-    return out
-
-
 def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
               hi: int | None = None, padded: bool = False) -> np.ndarray:
     """va * vb truncated at `order`, with only the output degrees 0..hi
-    formed (default `order`; the entries above hi stay zero).  The outer
-    loop runs over the operand with fewer nonzero entries, va on a tie, and
-    each product is outer * inner: the one-row case of `_mul_rows`.  A
-    `padded` va counts each of its entries of degree hi or more as nonzero."""
+    formed (default `order`; the entries above hi stay zero): the one-row
+    case of `_mul_rows`.  The outer loop runs over the operand with fewer
+    nonzero entries, va on a tie, each product is outer * inner, and the
+    contributions to an entry are added in the order of the outer operand,
+    then of the inner.  A `padded` va counts each of its entries of degree
+    hi or more as nonzero.  Exact operands are integer numerators over one
+    common denominator each; each nonzero output entry is reduced once and
+    stays an int where the product of the denominators is 1."""
     ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
     hi = order if hi is None else hi
     count = len(ia)
@@ -524,7 +498,20 @@ def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
         count = int(ia.searchsorted(cut)) + len(va) - cut
     if count > len(ib):
         ia, ib, va, vb = ib, ia, vb, va
-    return _accumulate(dim, order, ia, va[ia], ib, vb[ib], np.multiply, hi)
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, hi)
+    out = np.zeros(graded_size(dim, order), dtype=va.dtype)
+    va, vb = va[ia], vb[ib]
+    if va.dtype != object or vb.dtype != object:
+        np.add.at(out, targets, va[rows] * vb[cols])
+        return out
+    (na,), (da,) = _over_common_denominator(va[None])
+    (nb,), (db,) = _over_common_denominator(vb[None])
+    np.add.at(out, targets, na[rows] * nb[cols])
+    den = da * db
+    if den != 1:
+        nonzero = np.flatnonzero(out)
+        out[nonzero] = [Fraction(num, den) for num in out[nonzero]]
+    return out
 
 
 def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
@@ -547,7 +534,7 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
     - An all-zero row is not multiplied (it becomes zeros), and an entry that
       is zero in its row but inside the joint support forms no product: no
       0 * inf = NaN.  A chunk of a single product is multiplied as
-      `_accumulate` multiplies, two 1-d arrays out of place: numpy rounds a
+      `_mul_pair` multiplies, two 1-d arrays out of place: numpy rounds a
       complex product of one element apart when it multiplies in place or
       broadcasts.
     - Exact rows are integer numerators over one common denominator per row
@@ -566,15 +553,8 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
     ib = np.flatnonzero(b)
     b_vals, source, out = b[ib], rows, rows.reshape(-1)
     if exact:  # integer numerators over each row's lcm of denominators
-        b_vals, b_den = _over_common_denominator(b_vals)
-        at_row, at_col = np.nonzero(nonzero)
-        entries, owners = rows[at_row, at_col], at_row.tolist()
-        dens = [1] * len(rows)
-        for r, x in zip(owners, entries):
-            dens[r] = math.lcm(dens[r], int(x.denominator))
-        source = np.zeros(rows.shape, dtype=object)
-        source[at_row, at_col] = [int(x.numerator) * (dens[r] // int(x.denominator))
-                                  for r, x in zip(owners, entries)]
+        (b_vals,), (b_den,) = _over_common_denominator(b_vals[None])
+        source, dens = _over_common_denominator(rows)
     rows[nnz == 0] = 0
     width = rows.shape[1]
     counts = nnz
@@ -603,7 +583,7 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
                 pv, flat = bv, flat.reshape(-1)
             else:
                 av, pv, flat = av[keep], np.broadcast_to(bv, keep.shape)[keep], flat[keep]
-            if av.size == 1:  # as _accumulate multiplies: two 1-d arrays, out of place
+            if av.size == 1:  # as _mul_pair multiplies: two 1-d arrays, out of place
                 av, pv = av.reshape(1), pv.reshape(1)
                 av = av * pv if rows_outer else pv * av
             else:

@@ -41,10 +41,9 @@ from .series import (
     CoeffVector,
     ScalarSeries,
     VectorSeries,
-    _accumulate,
-    _cmul,
     _coeff_vector,
     _common,
+    _mul_pair,
     _rank,
     _rescaled,
     graded_size,
@@ -103,6 +102,12 @@ class SymCoeff(CoeffVector):
     @classmethod
     def scalar(cls, dim: int, value) -> "SymCoeff":
         return cls.from_coeffs(dim, 0, {(0,) * dim: value})
+
+    def _graded(self, order: int) -> np.ndarray:
+        """`vec` placed in a zero graded vector of degree <= order."""
+        vec = np.zeros(graded_size(self.dim, order), dtype=self.vec.dtype)
+        vec[self._lo:self._lo + len(self.vec)] = self.vec
+        return vec
 
     def __add__(self, other: "SymCoeff") -> "SymCoeff":
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -209,9 +214,7 @@ def apply_slot_map(phi: SymCoeff, matrix: np.ndarray) -> SymCoeff:
         vec[1:d + 1] = m[::-1, j]  # the degree-1 monomials run x_d, .., x_1
         comps.append(ScalarSeries(d, phi.degree, vec))
     sub = VectorSeries.from_components(comps)
-    vec = np.zeros(graded_size(d, phi.degree), dtype=phi.vec.dtype)
-    vec[phi._lo:] = phi.vec
-    series = ScalarSeries(d, phi.degree, vec)
+    series = ScalarSeries(d, phi.degree, phi._graded(phi.degree))
     return SymCoeff(d, phi.degree, ps_compose(series, sub).degree_part(phi.degree))
 
 
@@ -264,7 +267,9 @@ def sym_dual_norm(phi: SymCoeff, weight: WeightedInnerProduct | None = None) -> 
 
 
 def sym_product(a: SymCoeff, b: SymCoeff) -> SymCoeff:
-    """Symmetric tensor product; plain coefficient polynomial product.
+    """Symmetric tensor product: the ring product of the two degree slices,
+    each placed in a zero graded vector of degree <= k + m, as `ps_mul`
+    multiplies them.
 
     Valid because pairing against the symmetric w^{(x)(k+m)} factorizes:
     <w^{(x)(k+m)}, a (.) b> = <w^{(x)k}, a> <w^{(x)m}, b>.
@@ -272,10 +277,7 @@ def sym_product(a: SymCoeff, b: SymCoeff) -> SymCoeff:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     dim, degree = a.dim, a.degree + b.degree
-    va, vb = _common(a.vec, b.vec)
-    ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
-    out = _accumulate(dim, degree, ia + graded_size(dim, a.degree - 1), va[ia],
-                      ib + graded_size(dim, b.degree - 1), vb[ib], _cmul)
+    out = _mul_pair(dim, degree, *_common(a._graded(degree), b._graded(degree)))
     return SymCoeff(dim, degree, out[graded_size(dim, degree - 1):])
 
 

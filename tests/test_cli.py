@@ -12,7 +12,9 @@ import pytest
 
 from shefferkit import cli
 from shefferkit.cli import main
-from shefferkit.engine import PolynomialOnDual, load_sequence, sheffer_apply
+from shefferkit.engine import (PolynomialOnDual, binomial_check, build_sheffer, load_sequence,
+                               sheffer_apply)
+from shefferkit.families import FamilySpec, make_family
 from shefferkit.series import ScalarSeries, VectorSeries
 from shefferkit.symtensor import SymCoeff
 
@@ -158,7 +160,15 @@ class TestReportCommands:
         later = names[names.index("binomial_falling") + 1:]
         assert "gf_reproduction" in later and "embedding_inequalities" in later
         assert [measured[0][n] for n in later] == [measured[1][n] for n in later]
-        assert measured[0]["binomial_falling"] != measured[1]["binomial_falling"]
+        # binomial_falling runs trials // 2 trials on stream [seed, 4]: the
+        # 10-trial run starts with the 2-trial run's draws, so its maximum
+        # differs only where a later draw sets it, and it is never smaller
+        falling = build_sheffer(*make_family(FamilySpec("falling", 1, 8)), 8)
+        for figures, trials in zip(measured, (10, 2)):
+            rep = binomial_check(falling, trials=trials, rng=np.random.default_rng([3, 4]),
+                                 max_degree=6)
+            assert figures["binomial_falling"] == rep.max_deviation
+        assert measured[0]["binomial_falling"] >= measured[1]["binomial_falling"]
 
     def test_bounds_report(self, tmp_path):
         out = tmp_path / "bounds.json"

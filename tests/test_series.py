@@ -14,6 +14,7 @@ from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
     _mul_rows,
+    _over_common_denominator,
     _pairs,
     _product_table,
     graded_size,
@@ -491,6 +492,22 @@ class TestMulRows:
         rows = np.ones((4, graded_size(2, 3)), dtype=complex)
         with pytest.raises(ValueError, match="C-contiguous"):
             _mul_rows(2, 3, rows[::2], rows[0])
+
+
+class TestOverCommonDenominator:
+    # the one exact rule of both kernels, a row at a time
+    def test_rows(self):
+        rows = np.array([[3, -2, 0, 5],
+                         [F(1, 2), F(-2, 3), F(3, 5), F(1, 7)],
+                         [0, F(1, 4), F(0), F(-5, 6)],
+                         [0, 0, 0, 0]], dtype=object)
+        nums, dens = _over_common_denominator(rows)
+        assert dens == [1, 210, 12, 1]
+        assert nums.tolist() == [[3, -2, 0, 5], [105, -140, 126, 30], [0, 3, 0, -10],
+                                 [0, 0, 0, 0]]
+        assert all(type(x) is int for x in nums.ravel())
+        for row, num, den in zip(rows, nums, dens):
+            assert [F(n, den) for n in num] == list(row)
 
 
 def rational_series(rng, dim, order, keep=1.0, lowest=0):

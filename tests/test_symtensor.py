@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from shefferkit.engine import build_sheffer
-from shefferkit.series import monomial_basis
+from shefferkit.series import ScalarSeries, graded_size, monomial_basis, ps_mul
 from shefferkit.symtensor import (
     SymCoeff,
     WeightedInnerProduct,
@@ -122,6 +123,44 @@ class TestProduct:
                         all(type(c) in (int, F) for c in prod.vec)
                     assert np.array_equal(to_dense(prod),
                                           dense_sym_product(to_dense(a), to_dense(b)))
+
+    @staticmethod
+    def sparse_symcoeff(rng, dim, degree, count, exact):
+        """`count` nonzero entries (all of them for None) at random places."""
+        size = len(monomial_basis(dim, degree))
+        count = size if count is None else min(count, size)
+        vec = np.zeros(size, dtype=object if exact else complex)
+        at = rng.choice(size, count, replace=False)
+        if exact:
+            vec[at] = [F(int(rng.integers(1, 10) * rng.choice([-1, 1])), int(rng.integers(1, 13)))
+                       for _ in range(count)]
+        else:
+            vec[at] = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+        return SymCoeff(dim, degree, vec)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_is_the_ring_product(self, dim, exact):
+        # bit for bit ps_mul of the two slices placed in zero graded vectors
+        # of order k + m: its outer-operand rule and zero skipping included
+        def as_series(t, order):
+            vec = np.zeros(graded_size(dim, order), dtype=t.vec.dtype)
+            lo = graded_size(dim, t.degree - 1)
+            vec[lo:lo + len(t.vec)] = t.vec
+            return ScalarSeries(dim, order, vec)
+
+        rng = np.random.default_rng([dim, exact])
+        counts = (0, 1, 2, None)
+        for k, m in itertools.product(range(4), repeat=2):
+            pairs = [(self.sparse_symcoeff(rng, dim, k, ca, exact),
+                      self.sparse_symcoeff(rng, dim, m, cb, exact))
+                     for ca, cb in itertools.product(counts, repeat=2)]
+            other = self.sparse_symcoeff(rng, dim, m, None, not exact)
+            pairs += [(SymCoeff.zero(dim, k), other), (other, SymCoeff.zero(dim, k))]
+            for a, b in pairs:
+                got = sym_product(a, b)
+                want = ps_mul(as_series(a, k + m), as_series(b, k + m)).degree_part(k + m)
+                assert bits(got.vec) == bits(want), (k, m, a, b)
 
     def test_pairing_factorization(self, rng):
         a = random_symcoeff(2, 2, rng)
