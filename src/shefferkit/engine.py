@@ -58,6 +58,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .families import FamilyDivisor, FamilySpec, make_family
 from .series import (
     ScalarSeries,
     VectorSeries,
@@ -325,14 +326,15 @@ class ShefferSequence:
     and `inverse_matrix`, each view made when it is read.  Replacing a block
     there changes only what that mapping returns; the transforms read the
     matrices.  The inverse matrix is built on first use of inverse_blocks or
-    inverse_matrix and cached.
+    inverse_matrix and cached.  `spec` is the catalog family the sequence
+    was built from in closed form, None for any other (A, rho).
     """
 
     def __init__(self, dim: int, max_degree: int, matrix: np.ndarray,
                  blocks: _BlockViews,
                  a: VectorSeries, rho: ScalarSeries | None,
                  theta_series: ScalarSeries, kappa_series: ScalarSeries,
-                 exact: bool) -> None:
+                 exact: bool, spec: FamilySpec | None = None) -> None:
         self.dim = dim
         self.max_degree = max_degree
         self.matrix = matrix
@@ -342,6 +344,7 @@ class ShefferSequence:
         self.theta_series = theta_series
         self.kappa_series = kappa_series
         self.exact = exact
+        self.spec = spec
         self._inverse_matrix: np.ndarray | None = None
         self._inverse_blocks: _BlockViews | None = None
         self._b: VectorSeries | None = None
@@ -452,7 +455,11 @@ def _degree_tensors(series: ScalarSeries, order: int) -> tuple[SymCoeff, ...]:
 
 
 def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> ShefferSequence:
-    """Construct the sequence for generating data (A, rho) up to degree `order`."""
+    """Construct the sequence for generating data (A, rho) up to degree `order`.
+
+    kappa = rho(A) is a composition and theta = 1/kappa a reciprocal, except
+    for a catalog divisor made for this very A (`make_family`), which
+    carries both in closed form."""
     if order < 0:
         raise ValueError(f"max_degree must be nonnegative, got {order}")
     if not a.unit_linear:
@@ -466,14 +473,19 @@ def build_sheffer(a: VectorSeries, rho: ScalarSeries | None, order: int) -> Shef
     a_trunc = a.truncate(order)
     if rho is not None and rho.constant_term != 1:
         raise ValueError("rho must have constant term 1")
+    closed = rho if isinstance(rho, FamilyDivisor) and rho.a is a else None
     if rho is not None and not np.any(rho.vec[1:]):
         rho = None  # a constant divisor is the binomial-type case
-    kappa_series = (ScalarSeries.one(d, order, exact=exact) if rho is None
-                    else ps_compose(rho.truncate(order), a_trunc))
-    theta_series = ps_recip(kappa_series)
+    if closed is not None:
+        kappa_series, theta_series = closed.kappa.truncate(order), closed.theta.truncate(order)
+    else:
+        kappa_series = (ScalarSeries.one(d, order, exact=exact) if rho is None
+                        else ps_compose(rho.truncate(order), a_trunc))
+        theta_series = ps_recip(kappa_series)
     matrix, blocks = _transfer_blocks(a_trunc, theta_series, order, exact)
     seq = ShefferSequence(d, order, matrix, blocks, a_trunc, rho,
-                          theta_series, kappa_series, exact)
+                          theta_series, kappa_series, exact,
+                          None if closed is None else closed.spec)
     _assert_monic(seq)
     return seq
 
@@ -578,8 +590,10 @@ def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator) -> Po
 # Sequence files carry this tag.  Files of an earlier format (untagged, or
 # 2 and up, each written before a builder change that can move the last bits
 # of float blocks) load while their blocks match a fresh build bit for bit; a
-# block that does not asks for the file to be regenerated.
-SEQUENCE_FORMAT = 4
+# block that does not asks for the file to be regenerated.  From format 5 a
+# catalog sequence stores its family spec and is rebuilt from it: its rounded
+# (A, rho) alone would rebuild other float blocks than the closed forms give.
+SEQUENCE_FORMAT = 5
 
 
 def _stored_blocks(seq: ShefferSequence) -> _BlockViews:
@@ -589,16 +603,28 @@ def _stored_blocks(seq: ShefferSequence) -> _BlockViews:
     return _BlockViews(stored, _graded_offsets(seq.dim, seq.max_degree))
 
 
+def _series_docs(a: VectorSeries, rho: ScalarSeries | None) -> dict:
+    return {"a": a.to_json_dict(), "rho": None if rho is None else rho.to_json_dict()}
+
+
+def _stored_series(doc: dict) -> tuple[VectorSeries, ScalarSeries | None]:
+    """The (A, rho) of a sequence file document."""
+    rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
+    return VectorSeries.from_json_dict(doc.get("a")), rho
+
+
 def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> dict:
     """Sequence file document.  Blocks are row-major little-endian complex128
-    over the canonical graded bases; each carries a sha256 of its bytes."""
+    over the canonical graded bases; each carries a sha256 of its bytes.  A
+    catalog sequence also stores its family spec as `family`."""
     doc = {
         "format_version": SEQUENCE_FORMAT,
         "dim": seq.dim,
         "max_degree": seq.max_degree,
-        "a": seq.a.to_json_dict(),
-        "rho": None if seq.rho is None else seq.rho.to_json_dict(),
+        **_series_docs(seq.a, seq.rho),
     }
+    if seq.spec is not None:
+        doc["family"] = seq.spec.to_json_dict()
     if include_blocks:
         blocks = {}
         for (k, n), mat in _stored_blocks(seq).items():
@@ -613,16 +639,31 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
     return doc
 
 
+def _from_family(doc: dict, max_degree: int) -> ShefferSequence:
+    """Rebuild through `make_family` from the stored spec; the stored (A, rho)
+    must be the spec's own."""
+    seq = build_sheffer(*make_family(FamilySpec.from_json_dict(doc["family"])), max_degree)
+    stored, fresh = _series_docs(*_stored_series(doc)), _series_docs(seq.a, seq.rho)
+    for name in stored:
+        if stored[name] != fresh[name]:
+            raise ValueError(f"stored {name!r} of this sequence file differs from its "
+                             f"family spec's; regenerate the file with `shefferkit family`")
+    return seq
+
+
 def sequence_from_json_dict(doc: dict) -> ShefferSequence:
-    """Rebuild from (A, rho); stored blocks, when present, must match their
-    checksums and then the recomputation, byte for byte."""
+    """Rebuild from the family spec (format 5 catalog files) or from (A, rho);
+    stored blocks, when present, must match their checksums and then the
+    recomputation, byte for byte."""
     doc = json_object(doc, "sequence")
     version = doc.get("format_version")
     if version is not None and not (type(version) is int and 2 <= version <= SEQUENCE_FORMAT):
         raise ValueError(f"unsupported sequence format_version {version!r}")
-    a = VectorSeries.from_json_dict(doc.get("a"))
-    rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
-    seq = build_sheffer(a, rho, json_field(doc, "max_degree", int))
+    max_degree = json_field(doc, "max_degree", int)
+    if version == SEQUENCE_FORMAT and doc.get("family") is not None:
+        seq = _from_family(doc, max_degree)
+    else:
+        seq = build_sheffer(*_stored_series(doc), max_degree)
     entries = json_object(doc.get("blocks") or {}, "blocks")
     if not entries:
         return seq

@@ -816,12 +816,19 @@ def ps_compose(f: ScalarSeries, g: "VectorSeries") -> ScalarSeries:
 @dataclass(frozen=True, eq=False)
 class VectorSeries:
     """Tuple of scalar series sharing the input variables, all with zero
-    constant term (a formal map C^dim_in -> C^dim_out)."""
+    constant term (a formal map C^dim_in -> C^dim_out).
+
+    `inverse`, when set, is the compositional inverse known in closed form
+    (a catalog family's B): `vs_inverse` returns it and `truncate` truncates
+    it along.  Equality, JSON and every operation that makes a new series
+    ignore it.
+    """
 
     dim_in: int
     dim_out: int
     max_degree: int
     components: tuple[ScalarSeries, ...]
+    inverse: "VectorSeries | None" = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def from_components(cls, components: Iterable[ScalarSeries]) -> "VectorSeries":
@@ -862,7 +869,9 @@ class VectorSeries:
         return all(c.exact for c in self.components)
 
     def truncate(self, max_degree: int) -> "VectorSeries":
-        return VectorSeries.from_components(c.truncate(max_degree) for c in self.components)
+        inverse = None if self.inverse is None else self.inverse.truncate(max_degree)
+        comps = tuple(c.truncate(max_degree) for c in self.components)
+        return VectorSeries(self.dim_in, self.dim_out, max_degree, comps, inverse)
 
     def evaluate(self, point) -> list[complex]:
         return [c.evaluate(point) for c in self.components]
@@ -913,9 +922,12 @@ def vs_inverse(a: VectorSeries) -> VectorSeries:
     ceil(N/2), .., 1 taken from the bottom, so no step is a near-full
     composition that gains a single degree.  The inverse is again unit
     linear and b(a(x)) = a(b(x)) = x up to the shared truncation order.
+    A series that carries its inverse in closed form returns that instead.
     """
     if not a.unit_linear:
         raise ValueError("vs_inverse requires a unit linear part (a_1 = identity)")
+    if a.inverse is not None:
+        return a.inverse
     n, dim = a.max_degree, a.dim_in
     orders = [n]
     while orders[-1] > 1:

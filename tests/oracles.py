@@ -592,3 +592,15 @@ def random_series(dim: int, order: int, rng: np.random.Generator,
         s = s - ScalarSeries.constant(dim, order, s.constant_term) \
             + ScalarSeries.constant(dim, order, constant)
     return s
+
+
+def worst_block_error(approx, exact) -> float:
+    """Worst relative Frobenius error of the blocks of `approx` against those
+    of `exact` (mappings (k, n) -> block); a block that is exactly zero is
+    compared absolutely, the identity top blocks setting the scale."""
+    errors = []
+    for key, want in exact.items():
+        want = np.asarray(want, dtype=complex)
+        diff = np.linalg.norm(np.asarray(approx[key], dtype=complex) - want)
+        errors.append(diff / (np.linalg.norm(want) or 1.0))
+    return float(np.max(errors))  # NaN if any block is not finite

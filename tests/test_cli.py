@@ -136,6 +136,49 @@ class TestTransformCommands:
         assert doc["max_rel_error"] <= 1e-9
 
 
+class TestCatalogFiles:
+    # format 5: a catalog sequence file stores its family spec and is rebuilt
+    # from it, then checked against its stored (A, rho) and blocks
+    @pytest.mark.parametrize("kind", ["falling", "rising", "hermite", "charlier", "laguerre"])
+    def test_family_then_transforms(self, tmp_path, kind):
+        seq_file = tmp_path / f"{kind}.json"
+        assert run(["family", "--kind", kind, "--dim", 2, "--max-degree", 5,
+                    "--weights", "0.3,1.5", "--laguerre-k", 0.5, "--out", seq_file]) == 0
+        doc = json.loads(seq_file.read_text())
+        assert doc["format_version"] == 5
+        assert FamilySpec.from_json_dict(doc["family"]) == FamilySpec(
+            kind, 2, 5, k=0.5 if kind == "laguerre" else 0.0, weights=(0.3, 1.5))
+        poly = monomial_file(tmp_path, "p.json", 2, (2, 3))
+        for cmd in ("expand", "apply", "roundtrip"):
+            out = tmp_path / f"{cmd}.json"
+            assert run([cmd, "--sequence", seq_file, "--input", poly, "--out", out]) == 0
+        assert json.loads(out.read_text())["max_rel_error"] <= 1e-12
+
+    @pytest.mark.parametrize("field", ["a", "rho"])
+    def test_edited_series_rejected(self, tmp_path, capsys, field):
+        seq_file = tmp_path / "charlier.json"
+        run(["family", "--kind", "charlier", "--dim", 1, "--max-degree", 6, "--out", seq_file])
+        doc = json.loads(seq_file.read_text())
+        terms = (doc["a"]["components"][0] if field == "a" else doc["rho"])["terms"]
+        terms[-1]["re"] *= 1 + 2 ** -40
+        seq_file.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert run(["expand", "--sequence", seq_file,
+                    "--input", monomial_file(tmp_path, "z2.json", 1, (2,)), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"stored '{field}' of this sequence file differs from its family spec's" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_custom_file_has_no_spec(self, tmp_path):
+        seq_file = tmp_path / "custom.json"
+        assert run(["family", "--kind", "custom", "--a", "identity", "--dim", 1,
+                    "--max-degree", 4, "--out", seq_file]) == 0
+        doc = json.loads(seq_file.read_text())
+        assert doc["format_version"] == 5 and "family" not in doc
+        assert load_sequence(seq_file).spec is None
+
+
 class TestReportCommands:
     def test_check_suite(self, tmp_path, capsys):
         out = tmp_path / "check.json"

@@ -705,6 +705,14 @@ def flip_last_bit(entry: dict) -> None:
     entry["sha256"] = hashlib.sha256(bytes(raw)).hexdigest()
 
 
+def generic_build(spec: FamilySpec):
+    """A catalog sequence built the way files of format 4 and older were:
+    from its JSON'd (A, rho), with no closed forms and no family spec."""
+    a, rho = make_family(spec)
+    return build_sheffer(VectorSeries.from_json_dict(a.to_json_dict()),
+                         ScalarSeries.from_json_dict(rho.to_json_dict()), spec.max_degree)
+
+
 class TestSequenceFiles:
     def test_save_load_roundtrip(self, tmp_path):
         a, rho = make_family(FamilySpec("charlier", 1, 6))
@@ -737,7 +745,7 @@ class TestSequenceFiles:
         # they load while their blocks match a fresh build bit for bit, and a
         # block that differs, even in the last bit, asks for regeneration
         for dim in (1, 2):
-            seq = build_sheffer(*make_family(FamilySpec("charlier", dim, 4)), 4)
+            seq = generic_build(FamilySpec("charlier", dim, 4))
             doc = sequence_to_json_dict(seq)
             del doc["format_version"]
             assert sequence_from_json_dict(doc).max_degree == 4
@@ -756,7 +764,7 @@ class TestSequenceFiles:
         # version 2 files come from before the Newton series inverse: they
         # load while their blocks match a fresh build bit for bit, and a
         # block that differs in the last bit asks for regeneration
-        seq = build_sheffer(*make_family(FamilySpec("charlier", 1, 16)), 16)
+        seq = generic_build(FamilySpec("charlier", 1, 16))
         doc = sequence_to_json_dict(seq)
         doc["format_version"] = 2
         assert sequence_from_json_dict(doc).max_degree == 16
@@ -770,7 +778,7 @@ class TestSequenceFiles:
         # series layer, which moved the float theta of every non-constant
         # rho: they load while their blocks match a fresh build bit for bit,
         # and a block that differs in the last bit asks for regeneration
-        seq = build_sheffer(*make_family(FamilySpec(kind, 2, 10)), 10)
+        seq = generic_build(FamilySpec(kind, 2, 10))
         doc = sequence_to_json_dict(seq)
         doc["format_version"] = 3
         assert sequence_from_json_dict(doc).max_degree == 10

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shefferkit import families, series
 from shefferkit.engine import binomial_check, build_sheffer
 from shefferkit.families import (
     FamilySpec,
@@ -16,7 +17,18 @@ from shefferkit.families import (
     ratio_series,
 )
 from shefferkit.norms import quasi_holo_probe
-from shefferkit.series import ScalarSeries, VectorSeries, monomial_basis, ps_compose, ps_exp
+from shefferkit.series import (
+    ScalarSeries,
+    VectorSeries,
+    graded_exponents,
+    monomial_basis,
+    ps_compose,
+    ps_exp,
+    vs_inverse,
+)
+
+from conftest import bits
+from oracles import worst_block_error
 
 
 class TestSpecValidation:
@@ -236,6 +248,133 @@ class TestBaseSeries:
         mg = neg_log1m_series(6, exact=True)
         for k in range(1, 7):
             assert mg.coefficient((k,)) == abs(lg.coefficient((k,)))
+
+
+def series_route(spec: FamilySpec):
+    """(A, rho) of a catalog family as the series route makes them: `lift_1d`
+    of the family's 1-d pair (a, c), and hermite's rho = exp(xi^T C xi / 2)."""
+    n, d = spec.max_degree, spec.dim
+    if spec.kind == "hermite":
+        cov = np.eye(d) if spec.cov is None else np.asarray(spec.cov)
+        quad = {}
+        for i in range(d):
+            for j in range(i, d):
+                exps = tuple(int(m == i) + int(m == j) for m in range(d))
+                quad[exps] = F(cov[i, j]) / (2 if i == j else 1)
+        return VectorSeries.identity(d, n, exact=True), ps_exp(ScalarSeries.from_terms(d, n, quad))
+    a = {"falling": log1p_series, "charlier": log1p_series, "rising": neg_log1m_series,
+         "laguerre": ratio_series}[spec.kind](n, exact=True)
+    c = None
+    if spec.kind == "charlier":
+        c = ScalarSeries.from_terms(1, n, {(1,): F(1)})
+    elif spec.kind == "laguerre" and spec.k != -1:
+        c = log1p_series(n, exact=True).scale(F(spec.k) + 1)
+    return lift_1d(a, c, d, spec.resolved_weights(exact=True))
+
+
+def closed_form_specs():
+    """Every kind at d = 1, 2, 3, with unit and non-unit weights (hermite:
+    identity and off-diagonal covariance), laguerre at k = -1, 0.5, 2."""
+    specs = []
+    for dim, order in ((1, 10), (2, 6), (3, 4)):
+        weights = (None, (0.3, 2.0, 1.25)[:dim])
+        for kind in ("falling", "rising", "charlier"):
+            specs += [FamilySpec(kind, dim, order, weights=w) for w in weights]
+        specs += [FamilySpec("laguerre", dim, order, k=k, weights=w)
+                  for k in (-1.0, 0.5, 2.0) for w in weights]
+        cov = tuple(tuple(1.5 if i == j else -0.3 for j in range(dim)) for i in range(dim))
+        specs += [FamilySpec("hermite", dim, order), FamilySpec("hermite", dim, order, cov=cov)]
+    return specs
+
+
+def spec_id(spec: FamilySpec) -> str:
+    out = f"{spec.kind}-d{spec.dim}-N{spec.max_degree}"
+    if spec.kind == "laguerre":
+        out += f"-k{spec.k:g}"
+    if spec.weights is not None:
+        out += "-w" + ",".join(f"{w:g}" for w in spec.weights)
+    return out + ("-cov" if spec.cov is not None else "")
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("spec", closed_form_specs(), ids=spec_id)
+    def test_equal_to_series_route(self, spec):
+        n = spec.max_degree
+        a, rho = make_family(spec, exact=True)
+        plain = VectorSeries.from_components(a.components)
+        assert a.inverse == vs_inverse(plain)
+        want_a, want_rho = series_route(spec)
+        assert a == want_a and rho == want_rho
+        closed, generic = build_sheffer(a, rho, n), build_sheffer(plain, rho.series, n)
+        assert closed.spec == spec and generic.spec is None
+        assert closed.theta_series == generic.theta_series
+        assert closed.kappa_series == generic.kappa_series
+        assert np.array_equal(closed.matrix, generic.matrix)
+        assert np.array_equal(closed.inverse_matrix, generic.inverse_matrix)
+
+    @pytest.mark.parametrize("spec", closed_form_specs(), ids=spec_id)
+    def test_float_is_exact_rounded_once(self, spec):
+        (a_f, rho_f), (a_e, rho_e) = (make_family(spec, exact=e) for e in (False, True))
+        pairs = [(rho_f, rho_e), (rho_f.theta, rho_e.theta), (rho_f.kappa, rho_e.kappa)]
+        pairs += list(zip(a_f.inverse.components, a_e.inverse.components, strict=True))
+        for got, want in pairs:
+            assert bits(got.vec) == bits(want.vec.astype(complex))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_series_inversion_or_composition(self, monkeypatch, exact):
+        def forbidden(*args):
+            raise AssertionError("a catalog build composed or lifted a series")
+        monkeypatch.setattr(series, "_compose", forbidden)
+        monkeypatch.setattr(families, "lift_1d", forbidden)
+        for spec in closed_form_specs():
+            seq = build_sheffer(*make_family(spec, exact=exact), spec.max_degree)
+            assert seq.inverse_a is seq.a.inverse
+            seq.inverse_blocks
+            quasi_holo_probe(seq.a)
+
+    def test_divisor_for_another_a_is_composed(self):
+        # the closed forms belong to the A they were made with, not to an equal one
+        spec = FamilySpec("charlier", 1, 6)
+        a, rho = make_family(spec, exact=True)
+        seq = build_sheffer(VectorSeries.from_components(a.components), rho, 6)
+        assert seq.spec is None
+        assert seq.kappa_series == ps_compose(rho.truncate(6), a)
+
+    def test_divisor_arithmetic_is_plain(self):
+        _, rho = make_family(FamilySpec("charlier", 2, 4))
+        for got in (rho.truncate(3), rho.scale(2.0), rho + rho, -rho):
+            assert type(got) is ScalarSeries
+        assert rho == rho.series and rho.series == rho
+
+
+class TestFloatAccuracy:
+    # float blocks, forward and inverse, against the exact ones: the worst
+    # block's relative Frobenius error
+    @pytest.mark.parametrize("spec", [
+        *(FamilySpec(kind, 1, order, k=2.0)
+          for kind in ("falling", "rising", "hermite", "charlier", "laguerre")
+          for order in (32, 64)),
+        FamilySpec("charlier", 2, 12, weights=(0.3, 1.75)),
+        FamilySpec("laguerre", 2, 12, k=2.0, weights=(0.3, 1.75))], ids=spec_id)
+    def test_blocks_within_1e14_of_exact(self, spec):
+        exact, approx = (build_sheffer(*make_family(spec, exact=e), spec.max_degree)
+                         for e in (True, False))
+        assert worst_block_error(approx.blocks, exact.blocks) <= 1e-14
+        assert worst_block_error(approx.inverse_blocks, exact.inverse_blocks) <= 1e-14
+
+
+class TestKronecker:
+    @pytest.mark.parametrize("kind", ["falling", "rising", "charlier", "laguerre"])
+    def test_exact_d2_blocks_factor(self, kind):
+        # with unit weights every factor of the generating function is a
+        # product over the coordinates, so V[beta, gamma] =
+        # V1[beta_1, gamma_1] V1[beta_2, gamma_2] with V1 the d = 1 matrix
+        one, two = (build_sheffer(*make_family(FamilySpec(kind, d, 6, k=2.0), exact=True), 6)
+                    for d in (1, 2))
+        exps = graded_exponents(2, 6)
+        for v1, v2 in ((one.matrix, two.matrix), (one.inverse_matrix, two.inverse_matrix)):
+            kron = v1[np.ix_(exps[:, 0], exps[:, 0])] * v1[np.ix_(exps[:, 1], exps[:, 1])]
+            assert np.array_equal(v2, kron)
 
 
 class TestCustomRejected:

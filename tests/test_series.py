@@ -529,12 +529,15 @@ CATALOG_KINDS = ("falling", "rising", "hermite", "charlier", "laguerre")
 
 
 def catalog(kind, dim, order, exact):
+    """A catalog (A, rho), A as a plain copy: without the closed-form
+    inverse it carries, vs_inverse runs its Newton steps on it."""
     kw = {"k": 2.0} if kind == "laguerre" else {}
     if dim > 1 and kind == "hermite":
         kw["cov"] = tuple(tuple(2.0 if i == j else 0.25 for j in range(dim)) for i in range(dim))
     elif dim > 1:
         kw["weights"] = (0.5, 1.5, 1.25)[:dim]
-    return make_family(FamilySpec(kind, dim, order, **kw), exact=exact)
+    a, rho = make_family(FamilySpec(kind, dim, order, **kw), exact=exact)
+    return VectorSeries.from_components(a.components), rho
 
 
 def same_series(got, want):
