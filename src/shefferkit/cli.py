@@ -109,6 +109,9 @@ class RunConfig:
             if not isinstance(overrides, dict):
                 raise ValueError("the config file must hold a JSON object")
             for key, value in overrides.items():
+                if key == "command":
+                    raise ValueError("the config file may not set 'command': "
+                                     "the subcommand comes from the command line")
                 if key not in known:
                     raise ValueError(f"unknown RunConfig key {key!r} in config file")
                 setattr(cfg, key, value)

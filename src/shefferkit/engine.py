@@ -20,7 +20,10 @@ for k = |beta|, n = |gamma|.  The products theta * A^beta are built in d
 variables, degree by degree, one series product per monomial beta of
 degree <= N, those of one degree and one first variable in one batched
 product.  In d = 1 this is the column construction of an exponential
-Riordan array.
+Riordan array.  In exact mode the rows travel from degree to degree as
+integer numerators over one denominator per row, each row divided by the gcd
+of its numerators and its denominator, so the products are integer
+arithmetic; each entry is reduced once, as one Fraction(gamma! num, beta! den).
 
 The matrix is block upper triangular with identity diagonal blocks, from
 the unit linear part of A and rho(0) = 1; monicity is asserted after every
@@ -62,8 +65,10 @@ from .families import FamilyDivisor, FamilySpec, make_family
 from .series import (
     ScalarSeries,
     VectorSeries,
+    _mul_int_rows,
     _mul_rows,
     _normalized,
+    _over_common_denominator,
     _rank,
     _rescaled,
     graded_exponents,
@@ -194,12 +199,25 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
     factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i with i the first
     nonzero index of beta: one batched product (`_mul_rows`) per i, over the
     rows of degree k - 1 that the monomials of degree k with first index i
-    come from."""
+    come from.
+
+    Exact rows travel as integer numerators over one denominator per row, and
+    a degree comes as (numerators, denominators), row r being
+    numerators[r] / denominators[r].  The components of vec and the factor
+    are put in that form once, the products run on the integers alone
+    (`_mul_int_rows`), and each new row is divided by the gcd of its
+    numerators and its denominator, which leaves its entries over the lcm of
+    their reduced denominators."""
     d = vec.dim_in
     dtype = object if exact else complex
-    comps = [np.asarray(c.vec, dtype=dtype) for c in vec.components]
+    comps = np.array([c.vec for c in vec.components], dtype=dtype)
     raw = np.asarray(factor.vec, dtype=dtype)[None]
-    yield raw
+    if exact:
+        comps, comp_dens = _over_common_denominator(comps)
+        raw, dens = _over_common_denominator(raw)
+        dens = np.array(dens, dtype=object)
+    multiply = _mul_int_rows if exact else _mul_rows
+    yield (raw, dens) if exact else raw
     for k in range(1, order + 1):
         basis, rank, by_first = monomial_basis(d, k), _rank(d, k - 1), {}
         for r, beta in enumerate(basis):  # i -> (rows beta, rows beta - e_i)
@@ -208,11 +226,19 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
             rows.append(r)
             lower.append(rank[beta[:i] + (beta[i] - 1,) + beta[i + 1:]])
         prev, raw = raw, np.empty((len(basis), len(raw[0])), dtype=dtype)
+        if exact:
+            prev_dens, dens = dens, np.empty(len(basis), dtype=object)
         for i, (rows, lower) in by_first.items():
             level = prev[lower]
-            _mul_rows(d, order, level, comps[i])
+            multiply(d, order, level, comps[i])
             raw[rows] = level
-        yield raw
+            if exact:
+                dens[rows] = prev_dens[lower] * comp_dens[i]
+        if exact:
+            g = np.gcd(np.gcd.reduce(raw, axis=1), dens)
+            raw //= g[:, None]
+            dens //= g
+        yield (raw, dens) if exact else raw
 
 
 def _graded_offsets(dim: int, top: int) -> list[int]:
@@ -282,7 +308,9 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     so only d-variable series are built, degree by degree (`_power_rows`).
     Row beta of the matrix is the vector of factor * vec^beta, weighted.
 
-    In float mode an entry is (gamma! * c) / beta! with both factorials as
+    In exact mode an entry is made once, as Fraction(gamma! * num, beta! * den)
+    from its numerator and its row's denominator.  In float mode an entry is
+    (gamma! * c) / beta! with both factorials as
     floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
     exactly 1, being a product of the unit linear terms of vec and of
     factor(0) = 1, so the entry divides the identical float by itself: the
@@ -300,8 +328,12 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
         lo = offsets[k]
         rows = mat[lo:offsets[k + 1]]
         if exact:
-            for r, col in zip(*np.nonzero(raw)):
-                rows[r, col] = Fraction(fact[col], fact[lo + r]) * raw[r, col]
+            nums, dens = raw
+            row_dens = [f * den for f, den in zip(fact[lo:], dens)]
+            at_row, at_col = np.nonzero(nums)
+            rows[at_row, at_col] = [
+                Fraction(fact[col] * num, row_dens[r])
+                for r, col, num in zip(at_row.tolist(), at_col.tolist(), nums[at_row, at_col])]
         else:
             fbeta = ffact[lo:offsets[k + 1], None]
             with np.errstate(over="ignore", invalid="ignore"):

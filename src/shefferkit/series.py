@@ -25,7 +25,9 @@ rows' joint support, and gives each row the bits `_mul_pair` gives it.  Both
 keep one exact rule, `_over_common_denominator`: exact vectors are
 multiplied as integer numerators over one common denominator per operand
 row, with one normalisation per output entry instead of
-a gcd for every product and every sum.  This is exact coefficient
+a gcd for every product and every sum.  The integer core, `_mul_int_rows`,
+also runs alone on rows that are integers already, as the engine's exact
+block rows are, with no split and no Fraction made.  This is exact coefficient
 arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
 and the reciprocal are degree recurrences in the Euler operator
 E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather, each
@@ -387,7 +389,8 @@ def finite_number(value, name: str) -> float:
 
 def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
     """The `terms` list of a document, {"exp": [...], "re": x, "im": y} each:
-    exponents of length `dim`, finite real and imaginary parts."""
+    exponents of length `dim`, each at most once, finite real and imaginary
+    parts."""
     terms = {}
     for term in json_field(doc, "terms", list):
         term = json_object(term, "term")
@@ -395,7 +398,10 @@ def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                    and math.isfinite(p) for p in parts):
             raise ValueError(f"term parts re, im must be finite numbers, got {parts}")
-        terms[_exponent_key(json_field(term, "exp", list), dim)] = complex(*parts)
+        exps = _exponent_key(json_field(term, "exp", list), dim)
+        if exps in terms:
+            raise ValueError(f"exponent {list(exps)} appears more than once in terms")
+        terms[exps] = complex(*parts)
     return terms
 
 
@@ -538,8 +544,9 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
       complex product of one element apart when it multiplies in place or
       broadcasts.
     - Exact rows are integer numerators over one common denominator per row
-      (and one for b); each nonzero output entry is reduced once and stays
-      an int where the product of the two denominators is 1.
+      (and one for b), multiplied by `_mul_int_rows`; each nonzero output
+      entry is reduced once and stays an int where the product of the two
+      denominators is 1.
     """
     hi = order if hi is None else hi
     if len(rows) == 1:
@@ -547,14 +554,20 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
         return
     if not rows.flags.c_contiguous:
         raise ValueError("_mul_rows needs C-contiguous rows")
-    exact = rows.dtype == object
+    if rows.dtype == object:
+        nums, dens = _over_common_denominator(rows)
+        (b_num,), (b_den,) = _over_common_denominator(b[None])
+        _mul_int_rows(dim, order, nums, b_num, hi)
+        dens = [den * b_den for den in dens]
+        at_row, at_col = np.nonzero(nums)
+        rows[...] = 0
+        rows[at_row, at_col] = [num if dens[r] == 1 else Fraction(num, dens[r])
+                                for r, num in zip(at_row.tolist(), nums[at_row, at_col])]
+        return
     nonzero = rows != 0
     nnz = np.count_nonzero(nonzero, axis=1)
     ib = np.flatnonzero(b)
-    b_vals, source, out = b[ib], rows, rows.reshape(-1)
-    if exact:  # integer numerators over each row's lcm of denominators
-        (b_vals,), (b_den,) = _over_common_denominator(b_vals[None])
-        source, dens = _over_common_denominator(rows)
+    b_vals, out = b[ib], rows.reshape(-1)
     rows[nnz == 0] = 0
     width = rows.shape[1]
     counts = nnz
@@ -577,7 +590,7 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
         for lo in range(0, len(sel), step):
             part = sel[lo:lo + step]
             src, flat = at + part[:, None] * width, targets + part[:, None] * width
-            av, keep = source.reshape(-1)[src], nonzero.reshape(-1)[src]
+            av, keep = out[src], nonzero.reshape(-1)[src]
             rows[part] = 0
             if keep.all():
                 pv, flat = bv, flat.reshape(-1)
@@ -589,11 +602,27 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
             else:
                 np.multiply(av, pv, out=av) if rows_outer else np.multiply(pv, av, out=av)
             np.add.at(out, flat, av.reshape(-1))
-    if exact:
-        dens = [den * b_den for den in dens]
-        at_row, at_col = np.nonzero(rows)
-        rows[at_row, at_col] = [num if dens[r] == 1 else Fraction(num, dens[r])
-                                for r, num in zip(at_row.tolist(), rows[at_row, at_col])]
+
+
+def _mul_int_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
+                  hi: int | None = None) -> None:
+    """rows[r] <- rows[r] * b truncated at `order`, in place, for a 2-d object
+    array of Python ints and an int vector b, with only the output degrees
+    0..hi formed: the integer core of `_mul_rows`, which exact block rows
+    (`engine._power_rows`) run on directly, with no Fraction made.  Integer
+    sums are exact in any order, so one `_pairs` plan over the joint support
+    of the rows serves them all, a chunk of at most _CHUNK_PAIRS pair
+    products at a time; an entry zero in its row adds an exact zero."""
+    ib = np.flatnonzero(b)
+    joint = np.flatnonzero((rows != 0).any(axis=0))
+    at, bt, targets = _pairs(dim, order, joint, ib, 0, order if hi is None else hi)
+    at, bv = joint[at], b[ib[bt]]
+    step = max(1, _CHUNK_PAIRS // max(len(targets), 1))
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        products = part[:, at] * bv
+        part[...] = 0
+        np.add.at(part, (np.arange(len(part))[:, None], targets), products)
 
 
 def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:

@@ -29,8 +29,8 @@ import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import (ScalarSeries, VectorSeries, _common, _mul_pair, _product_table,
-                               _rescaled, graded_exponents, graded_size, monomial_basis,
+from shefferkit.series import (ScalarSeries, VectorSeries, _common, _mul_pair,
+                               _over_common_denominator, _product_table, _rescaled, graded_exponents, graded_size, monomial_basis,
                                multi_factorial, ps_derivative, ps_mul, vs_compose)
 from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, sym_norm, sym_product
 
@@ -468,6 +468,18 @@ def power_rows_by_monomial(vec: VectorSeries, factor: ScalarSeries, order: int, 
             lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
             level[beta] = ps_mul(prev[lower], vec.components[i])
         yield np.stack([s.vec for s in level.values()])
+
+
+def power_rows_in_engine_form(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool):
+    """The rows of `power_rows_by_monomial` in the form engine._power_rows
+    yields them: float rows unchanged, exact rows as (numerators,
+    denominators), each row over the lcm of the denominators of its entries."""
+    for raw in power_rows_by_monomial(vec, factor, order, exact):
+        if exact:
+            nums, dens = _over_common_denominator(raw)
+            yield nums, np.array(dens, dtype=object)
+        else:
+            yield raw
 
 
 # -- graded apply oracle ----------------------------------------------------------

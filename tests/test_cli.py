@@ -419,6 +419,20 @@ class TestConfig:
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert run(["check", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command", ["probe", "nope", "expand"])
+    def test_config_cannot_set_command(self, tmp_path, capsys, command):
+        seq, poly = tmp_path / "seq.json", monomial_file(tmp_path, "poly.json", 1, (2,))
+        assert run(["family", "--kind", "falling", "--max-degree", 4, "--out", seq]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command}), encoding="utf-8")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(["expand", "--sequence", seq, "--input", poly, "--out", out,
+                    "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'command'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         [1, 2], {"max_degree": "3"}, {"max_degree": 3.0}, {"max_degree": True},
         {"degrees": 5}, {"alpha": "2"}, {"out": 7}, {"format": "xml"}],
@@ -557,6 +571,34 @@ class TestExitCodes:
             assert run(args + ["--max-degree", 4, "--out", out]) == 2, args
             assert capsys.readouterr().err.count("\n") == 1
             assert not out.exists()
+
+    def test_repeated_exponent_in_polynomial(self, tmp_path, capsys):
+        seq_file, out = tmp_path / "seq.json", tmp_path / "o.json"
+        run(["family", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--out", seq_file])
+        doc = PolynomialOnDual.monomial(1, (0,)).to_json_dict()
+        terms = doc["coefficients"][0]["terms"]
+        terms.append({**terms[0], "re": 5.0})
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["apply", "--sequence", seq_file, "--input", poly, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "exponent [0] appears more than once" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_repeated_exponent_in_series(self, tmp_path, capsys):
+        a = VectorSeries.from_scalar_1d(ScalarSeries.from_coeffs_1d([0, 1, 0.5], 4))
+        doc = a.to_json_dict()
+        terms = doc["components"][0]["terms"]
+        terms.append({**terms[-1], "re": 0.25})
+        a_file, out = tmp_path / "a.json", tmp_path / "o.json"
+        a_file.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["family", "--kind", "custom", "--a", a_file, "--max-degree", 4,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "exponent [2] appears more than once" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["99,99", "2,0", "-1,0", "a,b", "1,2,3"])
     def test_bad_block_keys(self, tmp_path, capsys, key):

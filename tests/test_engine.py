@@ -50,6 +50,7 @@ from oracles import (
     hermite_coeffs,
     laguerre_coeffs,
     power_rows_by_monomial,
+    power_rows_in_engine_form,
     random_series,
     random_unit_linear,
     rising_coeffs,
@@ -498,19 +499,30 @@ def rational_pair(dim, order, rng):
 class TestPowerRows:
     """The block rows factor * vec^beta, one batched product per first
     variable, against one ps_mul per monomial, bit for bit, in both
-    directions; and the matrices built from either."""
+    directions; and the matrices built from either.  Exact rows are compared
+    as integer numerators over one denominator per row, and by value."""
 
     @staticmethod
     def check(seq, monkeypatch):
         inverse_factor = seq.kappa_series if seq.rho is None else seq.rho.truncate(seq.max_degree)
-        for vec, factor in ((seq.a, seq.theta_series), (seq.inverse_a, inverse_factor)):
+        for vec, factor, matrix in ((seq.a, seq.theta_series, seq.matrix),
+                                    (seq.inverse_a, inverse_factor, seq.inverse_matrix)):
             args = (vec, factor, seq.max_degree, seq.exact)
-            got = [bits(raw) for raw in engine._power_rows(*args)]
-            assert got == [bits(raw) for raw in power_rows_by_monomial(*args)]
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "_power_rows", power_rows_by_monomial)
-            want = engine._transfer_blocks(seq.a, seq.theta_series, seq.max_degree, seq.exact)[0]
-        assert bits(want) == bits(seq.matrix)
+            got = list(engine._power_rows(*args))
+            want = list(power_rows_in_engine_form(*args))
+            assert len(got) == len(want) == seq.max_degree + 1
+            if seq.exact:
+                for (nums, dens), (want_nums, want_dens), rows in zip(
+                        got, want, power_rows_by_monomial(*args)):
+                    assert bits(nums) == bits(want_nums) and bits(dens) == bits(want_dens)
+                    assert all(F(num, den) == value for num_row, den, row in zip(nums, dens, rows)
+                               for num, value in zip(num_row, row))
+            else:
+                assert [bits(raw) for raw in got] == [bits(raw) for raw in want]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_power_rows", power_rows_in_engine_form)
+                oracle_matrix = engine._transfer_blocks(*args)[0]
+            assert bits(oracle_matrix) == bits(matrix)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("dim, order", [(1, 16), (2, 7), (3, 5), (4, 4)])
@@ -526,6 +538,18 @@ class TestPowerRows:
             spec = FamilySpec(kind, dim, order, k=2.0, weights=(0.5, 1.5, 1.25)[:dim]
                               if kind in ("charlier", "laguerre") else None)
             self.check(build_sheffer(*make_family(spec, exact=exact), order), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["falling", "rising", "hermite", "charlier", "laguerre"])
+    def test_exact_catalog_deep(self, kind, monkeypatch):
+        spec = FamilySpec(kind, 1, 64, k=2.0)
+        self.check(build_sheffer(*make_family(spec, exact=True), 64), monkeypatch)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("charlier", 3, 6, weights=(0.3, 1.75, 0.5)),
+        FamilySpec("hermite", 3, 6, cov=((1.0, 0.25, 0.0), (0.25, 1.0, -0.125), (0.0, -0.125, 1.0))),
+    ], ids=["weighted-charlier", "hermite-cov"])
+    def test_exact_catalog_wide(self, spec, monkeypatch):
+        self.check(build_sheffer(*make_family(spec, exact=True), 6), monkeypatch)
 
 
 class TestCombinatorialPath:
