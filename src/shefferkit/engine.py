@@ -54,9 +54,10 @@ import itertools
 import json
 import math
 import operator
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -193,13 +194,31 @@ def _float_or_inf(value: int) -> float:
         return math.inf
 
 
+@functools.lru_cache(maxsize=None)
+def _first_index_groups(dim: int, degree: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The monomials beta of one degree (>= 1) grouped by their first nonzero
+    index i, the groups in the order of their first monomial: per group i,
+    the ranks of its monomials beta and of beta - e_i (one degree lower), as
+    read-only index arrays.  A per-shape plan of `_power_rows`."""
+    rank, by_first = _rank(dim, degree - 1), {}
+    for r, beta in enumerate(monomial_basis(dim, degree)):
+        i = next(j for j, e in enumerate(beta) if e)
+        rows, lower = by_first.setdefault(i, ([], []))
+        rows.append(r)
+        lower.append(rank[beta[:i] + (beta[i] - 1,) + beta[i + 1:]])
+    groups = tuple((i, np.array(rows), np.array(lower)) for i, (rows, lower) in by_first.items())
+    for _, rows, lower in groups:
+        rows.flags.writeable = lower.flags.writeable = False
+    return groups
+
+
 def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool):
     """For k = 0..order, the vectors of factor * vec^beta over the monomials
     beta of degree k as the rows of one array, from
     factor * vec^beta = (factor * vec^(beta - e_i)) * vec_i with i the first
     nonzero index of beta: one batched product (`_mul_rows`) per i, over the
     rows of degree k - 1 that the monomials of degree k with first index i
-    come from.
+    come from (`_first_index_groups`).
 
     Exact rows travel as integer numerators over one denominator per row, and
     a degree comes as (numerators, denominators), row r being
@@ -219,16 +238,11 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
     multiply = _mul_int_rows if exact else _mul_rows
     yield (raw, dens) if exact else raw
     for k in range(1, order + 1):
-        basis, rank, by_first = monomial_basis(d, k), _rank(d, k - 1), {}
-        for r, beta in enumerate(basis):  # i -> (rows beta, rows beta - e_i)
-            i = next(j for j, e in enumerate(beta) if e)
-            rows, lower = by_first.setdefault(i, ([], []))
-            rows.append(r)
-            lower.append(rank[beta[:i] + (beta[i] - 1,) + beta[i + 1:]])
-        prev, raw = raw, np.empty((len(basis), len(raw[0])), dtype=dtype)
+        size = len(monomial_basis(d, k))
+        prev, raw = raw, np.empty((size, len(raw[0])), dtype=dtype)
         if exact:
-            prev_dens, dens = dens, np.empty(len(basis), dtype=object)
-        for i, (rows, lower) in by_first.items():
+            prev_dens, dens = dens, np.empty(size, dtype=object)
+        for i, rows, lower in _first_index_groups(d, k):
             level = prev[lower]
             multiply(d, order, level, comps[i])
             raw[rows] = level
@@ -295,6 +309,17 @@ class _BlockViews(MutableMapping):
         return (top + 1) * (top + 2) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _factorial_weights(dim: int, order: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """gamma! for every monomial gamma of the graded basis of degree <= order,
+    as ints and as a read-only float array (inf past the double range): the
+    per-shape weights of `_transfer_blocks`."""
+    fact = tuple(multi_factorial(gamma) for gamma in graded_exponents(dim, order).tolist())
+    ffact = np.array([_float_or_inf(f) for f in fact])
+    ffact.flags.writeable = False
+    return fact, ffact
+
+
 def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
                      ) -> tuple[np.ndarray, _BlockViews]:
     """Read-only graded matrix of the transform with generating function
@@ -306,7 +331,8 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
         V[k, n][beta, gamma] = (gamma!/beta!) [xi^gamma](factor * vec^beta),
 
     so only d-variable series are built, degree by degree (`_power_rows`).
-    Row beta of the matrix is the vector of factor * vec^beta, weighted.
+    Row beta of the matrix is the vector of factor * vec^beta, weighted by
+    the factorials of `_factorial_weights`.
 
     In exact mode an entry is made once, as Fraction(gamma! * num, beta! * den)
     from its numerator and its row's denominator.  In float mode an entry is
@@ -321,8 +347,7 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     """
     d = vec.dim_in
     offsets = _graded_offsets(d, order)
-    fact = [multi_factorial(gamma) for gamma in graded_exponents(d, order).tolist()]
-    ffact = np.array([_float_or_inf(f) for f in fact])
+    fact, ffact = _factorial_weights(d, order)
     mat = np.full((len(fact),) * 2, Fraction(0) if exact else 0j)
     for k, raw in enumerate(_power_rows(vec, factor, order, exact)):
         lo = offsets[k]
@@ -528,10 +553,17 @@ def build_basic(a: VectorSeries, order: int) -> ShefferSequence:
 
 
 def _assert_monic(seq: ShefferSequence) -> None:
-    for n in range(seq.max_degree + 1):
-        mat = seq.blocks[(n, n)]
-        if not np.all(mat == np.eye(mat.shape[0], dtype=int)):
-            raise AssertionError(f"top block at degree {n} is not the identity")
+    """Every top block V[n, n] is the identity: one gather of their entries,
+    row r of degree k meeting the columns of degree k, compared at once;
+    the error names the lowest degree at which one is not."""
+    deg = graded_exponents(seq.dim, seq.max_degree).sum(axis=1)
+    offsets = np.array(_graded_offsets(seq.dim, seq.max_degree))
+    width = np.diff(offsets)[deg]  # columns of the top block that row r crosses
+    rows = np.arange(len(deg)).repeat(width)
+    cols = (offsets[deg] - np.cumsum(width) + width)[rows] + np.arange(len(rows))
+    wrong = np.flatnonzero(seq.matrix[rows, cols] != (rows == cols))
+    if len(wrong):
+        raise AssertionError(f"top block at degree {deg[rows[wrong[0]]]} is not the identity")
 
 
 def sheffer_apply(seq: ShefferSequence, p: PolynomialOnDual) -> PolynomialOnDual:
@@ -628,11 +660,20 @@ def random_polynomial(dim: int, max_degree: int, rng: np.random.Generator) -> Po
 SEQUENCE_FORMAT = 5
 
 
-def _stored_blocks(seq: ShefferSequence) -> _BlockViews:
-    """The blocks of the forward matrix as stored in sequence files: views of
-    one little-endian complex128 copy, whose tobytes() is row-major."""
-    stored = seq.matrix.astype(complex).astype("<c16", copy=False)
-    return _BlockViews(stored, _graded_offsets(seq.dim, seq.max_degree))
+def _stored_matrix(seq: ShefferSequence) -> np.ndarray:
+    """The forward matrix as sequence files store its blocks: one
+    little-endian complex128 copy, whose slices' tobytes() are row-major."""
+    return seq.matrix.astype(complex).astype("<c16", copy=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_slices(dim: int, max_degree: int) -> Mapping[str, tuple[slice, slice]]:
+    """Read-only map of sequence-file key 'k,n' -> (row slice, column slice)
+    of the block V[k, n] in the graded matrix of this shape, in the order of
+    `blocks`."""
+    off = _graded_offsets(dim, max_degree)
+    return MappingProxyType({f"{k},{n}": (slice(off[k], off[k + 1]), slice(off[n], off[n + 1]))
+                             for n in range(max_degree + 1) for k in range(n + 1)})
 
 
 def _series_docs(a: VectorSeries, rho: ScalarSeries | None) -> dict:
@@ -658,10 +699,11 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
     if seq.spec is not None:
         doc["family"] = seq.spec.to_json_dict()
     if include_blocks:
-        blocks = {}
-        for (k, n), mat in _stored_blocks(seq).items():
+        blocks, stored = {}, _stored_matrix(seq)
+        for key, at in _block_slices(seq.dim, seq.max_degree).items():
+            mat = stored[at]
             raw = mat.tobytes()
-            blocks[f"{k},{n}"] = {
+            blocks[key] = {
                 "rows": int(mat.shape[0]),
                 "cols": int(mat.shape[1]),
                 "data": base64.b64encode(raw).decode("ascii"),
@@ -699,10 +741,9 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
     entries = json_object(doc.get("blocks") or {}, "blocks")
     if not entries:
         return seq
-    keys = {f"{k},{n}": (k, n) for k, n in seq.blocks}
-    recomputed = _stored_blocks(seq)
+    slices, recomputed = _block_slices(seq.dim, seq.max_degree), _stored_matrix(seq)
     for key, entry in entries.items():
-        if key not in keys:
+        if key not in slices:
             raise ValueError(f"block key {key!r} must be 'k,n' with integers "
                              f"0 <= k <= n <= {seq.max_degree}")
         entry = json_object(entry, "block")
@@ -711,7 +752,7 @@ def sequence_from_json_dict(doc: dict) -> ShefferSequence:
         raw = base64.b64decode(entry["data"])
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise ValueError(f"corrupt block {key}: stored checksum mismatch")
-        if raw == recomputed[keys[key]].tobytes():
+        if raw == recomputed[slices[key]].tobytes():
             continue
         if version != SEQUENCE_FORMAT:
             raise ValueError(

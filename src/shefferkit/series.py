@@ -11,11 +11,12 @@ int) coefficients stores them in an object vector and switches every
 operation to exact rational arithmetic; nothing else changes.  There is no
 epsilon pruning: the `terms` map lists the entries that are not exactly zero.
 
-Multiplication serves both kinds of vector with one pair gather: a cached
-table maps a pair of graded indices to the index of the product monomial,
-the gather forms only the pairs of nonzero entries whose product lands in a
-band of degrees of the output, and their products, numpy's elementwise
-product, are accumulated into it.  Because the basis is graded, the partners
+Multiplication serves both kinds of vector with one pair gather: the
+product monomial of a pair of graded indices has their sum as its index in
+one variable and an index read from a cached table in more, the gather
+forms only the pairs of nonzero entries whose product lands in a band of
+degrees of the output, and their products, numpy's elementwise product,
+are accumulated into it.  Because the basis is graded, the partners
 of one entry in a sorted index set are one contiguous run of it, found by
 binary search, so a product truncated at N never forms the pairs whose
 degree passes N.  There are two kernels: `_mul_pair` multiplies two series
@@ -419,7 +420,9 @@ _HORNER_BYTES = 1 << 22
 @lru_cache(maxsize=4)
 def _product_table(dim: int, order: int) -> np.ndarray:
     """T[i, j] = graded index of x^(e_i + e_j) for the graded indices i, j of
-    degree <= order; -1 where the product's degree passes `order`.  A
+    degree <= order; -1 where the product's degree passes `order`.  Only
+    `_targets` reads it, and only for dim >= 2: in one variable the product's
+    index is i + j, and no table is built.  A
     monomial's key is its exponents as digits in radix order + 1; wherever the
     product's degree is <= order no digit carries, so the key of the product
     is the sum of the keys.  The table is filled a block of rows at a time, so
@@ -465,14 +468,25 @@ def _over_common_denominator(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return _numerator(rows) * (dens[:, None] // den_of), dens.tolist()
 
 
+def _targets(dim: int, order: int, ia: np.ndarray, ib) -> np.ndarray:
+    """Graded index of x^(e_ia + e_ib), elementwise, for graded indices of
+    degree <= order whose products stay within it: ia + ib in one variable,
+    else one gather from the flat view of the product table."""
+    if dim == 1:
+        return ia + ib
+    table = _product_table(dim, order)
+    return table.take(ia * len(table) + ib)
+
+
 def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
            lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major (rows, cols, targets) of the pairs (ia[rows], ib[cols]) of
     graded indices of degree <= order whose product monomial, at graded index
-    target, has its degree in lo..hi (0 <= lo <= hi <= order); `ib` must be
-    sorted ascending.  The partners of row r are then one run of `ib`, the
-    entries of degree lo - deg ia[r] .. hi - deg ia[r], so only the pairs
-    that are kept are ever formed."""
+    target (`_targets`), has its degree in lo..hi (0 <= lo <= hi <= order);
+    `ib` must be sorted ascending.  The partners of row r are then one run of
+    `ib`, the entries of degree lo - deg ia[r] .. hi - deg ia[r], so only the
+    pairs that are kept are ever formed.  Every product kernel plans through
+    here."""
     if not 0 <= lo <= hi <= order:
         raise ValueError(f"band {lo}..{hi} must lie in 0..{order}")
     room, starts = _room_starts(dim, order)
@@ -482,7 +496,7 @@ def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     rows = np.arange(len(ia)).repeat(counts)
     # pair k overall, in row r, is column end[r] - (pairs in rows <= r) + k
     cols = np.arange(len(rows)) - (np.add.accumulate(counts) - end)[rows]
-    return rows, cols, _product_table(dim, order)[ia[rows], ib[cols]]
+    return rows, cols, _targets(dim, order, ia[rows], ib[cols])
 
 
 def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
@@ -496,7 +510,7 @@ def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
     hi or more as nonzero.  Exact operands are integer numerators over one
     common denominator each; each nonzero output entry is reduced once and
     stays an int where the product of the denominators is 1."""
-    ia, ib = np.flatnonzero(va), np.flatnonzero(vb)
+    (ia,), (ib,) = va.nonzero(), vb.nonzero()
     hi = order if hi is None else hi
     count = len(ia)
     if padded:
@@ -535,8 +549,10 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
       its entries of degree hi or more as nonzero, and each product is
       outer * inner.  The rows on each side of that rule form one group
       with one `_pairs` plan over the joint support of its rows.  A chunk
-      of at most _CHUNK_PAIRS pair products is gathered, its rows cleared
-      and the products accumulated into them.
+      of at most _CHUNK_PAIRS pair products is gathered, a column gather
+      of its rows, its rows cleared and the products accumulated into
+      them; the mask of the row entries that are nonzero is gathered only
+      when some row of the group is zero somewhere on the joint support.
     - An all-zero row is not multiplied (it becomes zeros), and an entry that
       is zero in its row but inside the joint support forms no product: no
       0 * inf = NaN.  A chunk of a single product is multiplied as
@@ -581,6 +597,7 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
         if not len(sel):
             continue
         joint = np.flatnonzero(nonzero[sel].any(axis=0))
+        dense = bool((nnz[sel] == len(joint)).all())  # every row covers the joint support
         if rows_outer:
             at, bt, targets = _pairs(dim, order, joint, ib, 0, hi)
         else:
@@ -589,10 +606,10 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
         step = max(1, _CHUNK_PAIRS // max(len(targets), 1))
         for lo in range(0, len(sel), step):
             part = sel[lo:lo + step]
-            src, flat = at + part[:, None] * width, targets + part[:, None] * width
-            av, keep = out[src], nonzero.reshape(-1)[src]
+            av, flat = rows[part].take(at, axis=1), targets + part[:, None] * width
+            keep = None if dense else nonzero[part].take(at, axis=1)
             rows[part] = 0
-            if keep.all():
+            if keep is None or keep.all():
                 pv, flat = bv, flat.reshape(-1)
             else:
                 av, pv, flat = av[keep], np.broadcast_to(bv, keep.shape)[keep], flat[keep]
@@ -633,11 +650,10 @@ def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
 
 def ps_derivative(a: ScalarSeries, var: int) -> ScalarSeries:
     """d/dx_var of the polynomial held by `a`, at the same order (its top
-    degree part is zero); x^e comes from x^(e + e_var) through the product
-    table's column of x_var."""
+    degree part is zero); x^e comes from x^(e + e_var) (`_targets`)."""
     lower = graded_exponents(a.dim, a.max_degree - 1)
     unit = _index(tuple(int(j == var) for j in range(a.dim)))
-    src = _product_table(a.dim, max(a.max_degree, 1))[:len(lower), unit]
+    src = _targets(a.dim, max(a.max_degree, 1), np.arange(len(lower)), unit)
     factor = lower[:, var] + 1
     out = np.zeros_like(a.vec)
     out[:len(src)] = a.vec[src] * (factor.astype(object) if a.exact else factor)
@@ -662,7 +678,7 @@ def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
     f[0] = 1
     for n in range(1, c.max_degree + 1):
         lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
-        ia, ib = ic[ic < hi], np.flatnonzero(f[:lo])
+        ia, (ib,) = ic[ic < hi], f[:lo].nonzero()
         rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, n, n)
         np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
         if divide:

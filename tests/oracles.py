@@ -5,7 +5,9 @@ library's generating-function or graded-transform machinery: explicit
 integer products, three-term recurrences, finite combinatorial sums, dense
 tensor algebra via numpy, and triangular solves.  The product-kernel oracles
 are the first constructions of the product table and of the pair gather,
-kept to pin the faster ones entry for entry, and the composition oracles
+kept to pin the faster ones entry for entry, and the pair plan that read
+every target from the product table, kept to pin the one-variable index
+sums bit for bit; the composition oracles
 are the routes that made one product per Horner step, per Jacobian entry
 and per block row, kept to pin the batched ones bit for bit; the first
 Horner construction, with untruncated steps, is kept to pin the truncated
@@ -30,7 +32,8 @@ import numpy as np
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
 from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
 from shefferkit.series import (ScalarSeries, VectorSeries, _common, _mul_pair,
-                               _over_common_denominator, _product_table, _rescaled, graded_exponents, graded_size, monomial_basis,
+                               _over_common_denominator, _product_table, _rescaled, _room_starts,
+                               graded_exponents, graded_size, monomial_basis,
                                multi_factorial, ps_derivative, ps_mul, vs_compose)
 from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, sym_norm, sym_product
 
@@ -371,6 +374,20 @@ def masked_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     rows, cols = np.nonzero((targets >= graded_size(dim, lo - 1))
                             & (targets < graded_size(dim, hi)))
     return rows, cols, targets[rows, cols]
+
+
+def table_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
+                lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair plan of `series._pairs` with every target read from the
+    product table by a 2-d gather, in one variable as in more: the route of
+    every product before one variable summed its graded indices."""
+    room, starts = _room_starts(dim, order)
+    shift, pos = room[ia], ib.searchsorted(starts)
+    first, end = pos[lo:][shift], pos[hi + 1:][shift]
+    counts = end - first
+    rows = np.arange(len(ia)).repeat(counts)
+    cols = np.arange(len(rows)) - (np.add.accumulate(counts) - end)[rows]
+    return rows, cols, _product_table(dim, order)[ia[rows], ib[cols]]
 
 
 # -- composition oracles -----------------------------------------------------------

@@ -32,6 +32,7 @@ from shefferkit.families import FamilySpec, log1p_series, make_family, neg_log1m
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    _product_table,
     graded_size,
     monomial_basis,
     ps_exp,
@@ -156,6 +157,36 @@ class TestBuild:
         for n in range(6):
             mat = seq.blocks[(n, n)]
             assert np.array_equal(mat, np.eye(mat.shape[0], dtype=complex))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_non_identity_top_block_named_by_lowest_degree(self, exact):
+        spec = FamilySpec("charlier", 2, 5, weights=(0.5, 1.5))
+        seq = build_sheffer(*make_family(spec, exact=exact), 5)
+        built, one = seq.matrix, F(1) if exact else 1.0 + 0.0j
+        off = [graded_size(2, k - 1) for k in range(7)]
+        for wrong, degree in (
+                ({(off[4] + 2, off[4] + 2): one + one / 2 ** 40}, 4),  # a diagonal entry
+                ({(off[3], off[3] + 1): one / 3}, 3),  # off the diagonal, inside V[3, 3]
+                ({(off[5] + 1, off[5] + 1): 2 * one, (off[2] + 1, off[2]): -one}, 2),
+                ({(off[2], off[4]): 7 * one, (off[0], off[5]): one}, None)):  # not top blocks
+            seq.matrix = built.copy()
+            for at, value in wrong.items():
+                seq.matrix[at] = value
+            if degree is None:
+                engine._assert_monic(seq)
+                continue
+            with pytest.raises(AssertionError, match=f"^top block at degree {degree} is not"):
+                engine._assert_monic(seq)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_variable_builds_read_no_product_table(self, exact):
+        # the graded index of x^i x^j is i + j: no d = 1 product touches the table
+        order = 24 if exact else 64
+        a, rho = (rational_pair if exact else dense_pair)(1, order, np.random.default_rng(order))
+        before = _product_table.cache_info()
+        seq = build_sheffer(a, rho, order)
+        assert seq.inverse_blocks[0, order].shape == (1, 1)
+        assert _product_table.cache_info() == before
 
     def test_float_blocks_finite_up_to_the_double_range(self):
         # gamma! leaves the double range at n = 171; falling blocks stay
@@ -809,6 +840,32 @@ class TestSequenceFiles:
         flip_last_bit(doc["blocks"]["0,10"])
         with pytest.raises(ValueError, match="regenerate the file with `shefferkit family`"):
             sequence_from_json_dict(doc)
+
+    def test_every_block_and_entry_checked(self):
+        # the stored bytes are the blocks' bytes, and the loader checks each
+        # entry's key, fields, checksum and bytes against the rebuild
+        seq = build_sheffer(*make_family(FamilySpec("charlier", 2, 4, weights=(0.5, 1.5))), 4)
+        doc = sequence_to_json_dict(seq)
+        assert sorted(doc["blocks"]) == sorted(f"{k},{n}" for k, n in seq.blocks)
+        for (k, n), block in seq.blocks.items():
+            entry = doc["blocks"][f"{k},{n}"]
+            assert base64.b64decode(entry["data"]) == block.astype("<c16").tobytes()
+            assert (entry["rows"], entry["cols"]) == block.shape
+        assert sequence_from_json_dict(json.loads(json.dumps(doc))).max_degree == 4
+        for key, edit, match in (
+                ("5,5", None, "block key '5,5' must be 'k,n' with integers 0 <= k <= n <= 4"),
+                ("1, 3", None, "block key '1, 3' must be 'k,n'"),
+                ("1,3", lambda e: e.update(data=5), "block 1,3 needs string data and sha256"),
+                ("2,3", lambda e: e.pop("sha256"), "block 2,3 needs string data and sha256"),
+                ("0,4", lambda e: e.update(sha256="0" * 64), "corrupt block 0,4"),
+                ("4,4", flip_last_bit, "block 4,4 disagrees with recomputation")):
+            bad = json.loads(json.dumps(doc))
+            if edit is None:  # block 1,3 stored under a bad key
+                bad["blocks"][key] = bad["blocks"].pop("1,3")
+            else:
+                edit(bad["blocks"][key])
+            with pytest.raises(ValueError, match=match):
+                sequence_from_json_dict(bad)
 
     def test_polynomial_json_roundtrip(self, rng):
         p = random_polynomial_sparse(2, 4, rng)

@@ -13,6 +13,9 @@ from shefferkit.families import FamilySpec, make_family
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    _degree_recurrence,
+    _mul_int_rows,
+    _mul_pair,
     _mul_rows,
     _over_common_denominator,
     _pairs,
@@ -46,6 +49,7 @@ from oracles import (
     random_series,
     random_unit_linear,
     recip_triangular_1d,
+    table_pairs,
     taylor_exp,
 )
 
@@ -492,6 +496,45 @@ class TestMulRows:
         rows = np.ones((4, graded_size(2, 3)), dtype=complex)
         with pytest.raises(ValueError, match="C-contiguous"):
             _mul_rows(2, 3, rows[::2], rows[0])
+
+
+class TestProductTableRoute:
+    # every kernel that plans through _pairs against the same kernel with its
+    # targets read from the product table by a 2-d gather (table_pairs), bit
+    # for bit: d = 1 sums the graded indices, d >= 2 reads the table's flat view
+    @staticmethod
+    def products(dim, order, exact):
+        rng = np.random.default_rng([dim, order, exact])
+        size = graded_size(dim, order)
+        rows = [sparse_vec(rng, size, c, exact) for c in (size, max(1, size // 3), 1, 0, size)]
+        band = max(1, order - 1)
+        out = []
+        for b_nnz in (size, max(2, size // 4)):
+            b = sparse_vec(rng, size, b_nnz, exact)
+            for row in rows:
+                out += [_mul_pair(dim, order, row, b), _mul_pair(dim, order, row, b, band, True)]
+            for hi, padded in ((None, 0), (order // 2, 0), (band, 2)):
+                for batch in (np.array(rows), np.array(rows[::4])):  # all rows, the dense ones
+                    _mul_rows(dim, order, batch, b, hi, padded)
+                    out += list(batch)
+        ints = rng.integers(-9, 10, (4, size)) * (rng.random((4, size)) < [[1], [0.3], [0.1], [0]])
+        ints = np.array([[int(x) for x in row] for row in ints], dtype=object)
+        for hi in (None, order // 2):
+            batch = ints.copy()
+            _mul_int_rows(dim, order, batch, ints[0], hi)
+            out += list(batch)
+        for c in (rows[0], rows[1], rows[3]):
+            out += [_degree_recurrence(ScalarSeries(dim, order, c), divide).vec
+                    for divide in (False, True)]
+        return out
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim, order", [(1, 12), (2, 6), (3, 5), (4, 4)])
+    def test_kernels_match_table_route(self, monkeypatch, dim, order, exact):
+        got = self.products(dim, order, exact)
+        monkeypatch.setattr(series, "_pairs", table_pairs)
+        want = self.products(dim, order, exact)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
 class TestOverCommonDenominator:
