@@ -66,7 +66,6 @@ from .families import FamilyDivisor, FamilySpec, make_family
 from .series import (
     ScalarSeries,
     VectorSeries,
-    _mul_int_rows,
     _mul_rows,
     _normalized,
     _over_common_denominator,
@@ -223,8 +222,8 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
     Exact rows travel as integer numerators over one denominator per row, and
     a degree comes as (numerators, denominators), row r being
     numerators[r] / denominators[r].  The components of vec and the factor
-    are put in that form once, the products run on the integers alone
-    (`_mul_int_rows`), and each new row is divided by the gcd of its
+    are put in that form once, `_mul_rows` multiplies the integer rows as it
+    multiplies complex ones, and each new row is divided by the gcd of its
     numerators and its denominator, which leaves its entries over the lcm of
     their reduced denominators."""
     d = vec.dim_in
@@ -235,7 +234,6 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
         comps, comp_dens = _over_common_denominator(comps)
         raw, dens = _over_common_denominator(raw)
         dens = np.array(dens, dtype=object)
-    multiply = _mul_int_rows if exact else _mul_rows
     yield (raw, dens) if exact else raw
     for k in range(1, order + 1):
         size = len(monomial_basis(d, k))
@@ -244,7 +242,7 @@ def _power_rows(vec: VectorSeries, factor: ScalarSeries, order: int, exact: bool
             prev_dens, dens = dens, np.empty(size, dtype=object)
         for i, rows, lower in _first_index_groups(d, k):
             level = prev[lower]
-            multiply(d, order, level, comps[i])
+            _mul_rows(d, order, level, comps[i])
             raw[rows] = level
             if exact:
                 dens[rows] = prev_dens[lower] * comp_dens[i]
@@ -349,31 +347,30 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     offsets = _graded_offsets(d, order)
     fact, ffact = _factorial_weights(d, order)
     mat = np.full((len(fact),) * 2, Fraction(0) if exact else 0j)
-    for k, raw in enumerate(_power_rows(vec, factor, order, exact)):
-        lo = offsets[k]
-        rows = mat[lo:offsets[k + 1]]
-        if exact:
-            nums, dens = raw
-            row_dens = [f * den for f, den in zip(fact[lo:], dens)]
-            at_row, at_col = np.nonzero(nums)
-            rows[at_row, at_col] = [
-                Fraction(fact[col] * num, row_dens[r])
-                for r, col, num in zip(at_row.tolist(), at_col.tolist(), nums[at_row, at_col])]
-        else:
-            fbeta = ffact[lo:offsets[k + 1], None]
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, raw in enumerate(_power_rows(vec, factor, order, exact)):
+            lo = offsets[k]
+            rows = mat[lo:offsets[k + 1]]
+            if exact:
+                nums, dens = raw
+                row_dens = [f * den for f, den in zip(fact[lo:], dens)]
+                at_row, at_col = np.nonzero(nums)
+                rows[at_row, at_col] = [
+                    Fraction(fact[col] * num, row_dens[r])
+                    for r, col, num in zip(at_row.tolist(), at_col.tolist(), nums[at_row, at_col])]
+            else:
+                fbeta = ffact[lo:offsets[k + 1], None]
                 rows.real = ffact * raw.real / fbeta
                 rows.imag = ffact * raw.imag / fbeta
-            for r, col in zip(*np.nonzero(~np.isfinite(rows))):
-                rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
+                for r, col in zip(*np.nonzero(~np.isfinite(rows))):
+                    rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
     mat.flags.writeable = False
-    blocks = _BlockViews(mat, offsets)
     if not exact and not np.isfinite(mat).all():
-        k, n = next(key for key, block in blocks.items()  # by degree n, lowest first
-                    if not np.isfinite(block).all())
+        k, n = np.searchsorted(offsets, np.nonzero(~np.isfinite(mat)), side="right") - 1
+        n, k = min(zip(n.tolist(), k.tolist()))  # the lowest degree n, then k
         raise ValueError(f"float block V[{k},{n}] leaves the double range; "
                          f"lower max_degree below {n}")
-    return mat, blocks
+    return mat, _BlockViews(mat, offsets)
 
 
 class ShefferSequence:
@@ -676,10 +673,6 @@ def _block_slices(dim: int, max_degree: int) -> Mapping[str, tuple[slice, slice]
                              for n in range(max_degree + 1) for k in range(n + 1)})
 
 
-def _series_docs(a: VectorSeries, rho: ScalarSeries | None) -> dict:
-    return {"a": a.to_json_dict(), "rho": None if rho is None else rho.to_json_dict()}
-
-
 def _stored_series(doc: dict) -> tuple[VectorSeries, ScalarSeries | None]:
     """The (A, rho) of a sequence file document."""
     rho = None if doc.get("rho") is None else ScalarSeries.from_json_dict(doc["rho"])
@@ -694,7 +687,8 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
         "format_version": SEQUENCE_FORMAT,
         "dim": seq.dim,
         "max_degree": seq.max_degree,
-        **_series_docs(seq.a, seq.rho),
+        "a": seq.a.to_json_dict(),
+        "rho": None if seq.rho is None else seq.rho.to_json_dict(),
     }
     if seq.spec is not None:
         doc["family"] = seq.spec.to_json_dict()
@@ -715,11 +709,10 @@ def sequence_to_json_dict(seq: ShefferSequence, include_blocks: bool = True) -> 
 
 def _from_family(doc: dict, max_degree: int) -> ShefferSequence:
     """Rebuild through `make_family` from the stored spec; the stored (A, rho)
-    must be the spec's own."""
+    must equal the spec's own as series."""
     seq = build_sheffer(*make_family(FamilySpec.from_json_dict(doc["family"])), max_degree)
-    stored, fresh = _series_docs(*_stored_series(doc)), _series_docs(seq.a, seq.rho)
-    for name in stored:
-        if stored[name] != fresh[name]:
+    for name, stored, fresh in zip(("a", "rho"), _stored_series(doc), (seq.a, seq.rho)):
+        if fresh != stored:
             raise ValueError(f"stored {name!r} of this sequence file differs from its "
                              f"family spec's; regenerate the file with `shefferkit family`")
     return seq

@@ -189,12 +189,23 @@ def coeff_norm(p: PolynomialOnDual, g: GradedNorm) -> float:
     return total
 
 
-def _image_norms(seq: ShefferSequence, n: int, g: GradedNorm, low: int = 0) -> np.ndarray:
-    """coeff_norm of the degree-low..n parts of S w^gamma for every gamma of
-    degree n: the degree-k part is column gamma of the block V[k, n].  With
-    low = n this is coeff_norm(w^gamma, g), the top block being the identity."""
-    return sum(_degree_scale(k, g) * column_norms(seq.blocks[(k, n)], seq.dim, k, g.weight)
-               for k in range(low, n + 1))
+def _image_norms(seq: ShefferSequence, top: int, g_out: GradedNorm, g_in: GradedNorm
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """For every monomial w^gamma of degree n <= top, in graded order: the
+    coeff_norm at g_out of S w^gamma, degree parts 0..n, and at g_in (of the
+    same weight) of w^gamma itself, the top block being the identity.  The degree-k part of
+    S w^gamma is column gamma of the block V[k, n], so one `column_norms`
+    call per k reads the row panel V[k, k..top], and each column adds its
+    parts by increasing k."""
+    off = [graded_size(seq.dim, k - 1) for k in range(top + 2)]
+    image, own = np.zeros(off[-1]), np.empty(off[-1])
+    for k in range(top + 1):
+        s_out, s_in = _degree_scale(k, g_out), _degree_scale(k, g_in)
+        norms = column_norms(seq.matrix[off[k]:off[k + 1], off[k]:off[-1]], seq.dim, k,
+                             g_out.weight)
+        image[off[k]:] += s_out * norms
+        own[off[k]:off[k + 1]] = s_in * norms[:off[k + 1] - off[k]]
+    return image, own
 
 
 def _auto_radial_max(degree: int, g: GradedNorm) -> float:
@@ -408,8 +419,10 @@ def operator_bound_check(seq: ShefferSequence, alpha: float, level: int,
     bound = 1.0 / (1.0 - _dyadic(level) * c5 / (_dyadic(level_out) - c5))
     g_out = GradedNorm(alpha, level, weight)
     g_in = GradedNorm(alpha, level_out, weight)
+    image, own = _image_norms(seq, seq.max_degree, g_out, g_in)
+    ratios = image / own
     per_degree = [{"degree": n, "max_ratio": float(np.max(
-        _image_norms(seq, n, g_out) / _image_norms(seq, n, g_in, low=n)))}
+        ratios[graded_size(seq.dim, n - 1):graded_size(seq.dim, n)]))}
         for n in range(seq.max_degree + 1)]
     return BoundReport(
         name="operator_bound_check",
@@ -495,10 +508,11 @@ def divergence_sweep(seq: ShefferSequence, alpha: float, degrees,
     if degs[-1] > seq.max_degree:
         raise ValueError("degree range exceeds the built order")
     g = GradedNorm(alpha, 0, weight)
+    image, own = _image_norms(seq, degs[-1], g, g)
     rows = []
     for n in degs:
-        num = float(_image_norms(seq, n, g)[0])
-        den = float(_image_norms(seq, n, g, low=n)[0])
+        first = graded_size(seq.dim, n - 1)  # the first monomial of degree n
+        num, den = float(image[first]), float(own[first])
         rows.append({"degree": n, "ratio": num / den, "norm_num": num, "norm_den": den})
     ref_degree = 5 if 5 in degs else degs[0]
     ref_ratio = next(r["ratio"] for r in rows if r["degree"] == ref_degree)

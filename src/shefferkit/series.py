@@ -19,20 +19,19 @@ degrees of the output, and their products, numpy's elementwise product,
 are accumulated into it.  Because the basis is graded, the partners
 of one entry in a sorted index set are one contiguous run of it, found by
 binary search, so a product truncated at N never forms the pairs whose
-degree passes N.  There are two kernels: `_mul_pair` multiplies two series
-(`ps_mul` and `symtensor.sym_product`), and `_mul_rows` multiplies many
-series, the rows of one array, by one series with one gather plan over the
-rows' joint support, and gives each row the bits `_mul_pair` gives it.  Both
-keep one exact rule, `_over_common_denominator`: exact vectors are
-multiplied as integer numerators over one common denominator per operand
-row, with one normalisation per output entry instead of
-a gcd for every product and every sum.  The integer core, `_mul_int_rows`,
-also runs alone on rows that are integers already, as the engine's exact
-block rows are, with no split and no Fraction made.  This is exact coefficient
-arithmetic, not an FFT, so structural zeros remain exact zeros.  exp, log
-and the reciprocal are degree recurrences in the Euler operator
-E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather, each
-degree part computed once from the lower ones.  Composition is Horner's
+degree passes N.  There are two kernels, for complex vectors and object
+vectors of ints alike: `_mul_pair` multiplies two vectors, and `_mul_rows`
+multiplies many, the rows of one array, by one vector with one gather plan
+over the rows' joint support, and gives each row the bits `_mul_pair` gives
+it.  Ring products go through `_multiply`, the one exact rule: exact rows are
+split into integer numerators over one common denominator per row, the
+kernel multiplies the integers, and each nonzero output entry is rebuilt
+once, instead of a gcd for every product and every sum.  The engine's exact
+block rows are integers already and go to `_mul_rows` directly.  This is
+exact coefficient arithmetic, not an FFT, so structural zeros remain exact
+zeros.  exp, log and the reciprocal are degree recurrences in the Euler
+operator E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather,
+each degree part computed once from the lower ones.  Composition is Horner's
 scheme (4.6.4) run in lockstep: one variable at a time, innermost first,
 every Horner chain of that variable, across several outer series, takes
 each step in one batched product, about f.dim * N of them per composition.
@@ -503,13 +502,11 @@ def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
               hi: int | None = None, padded: bool = False) -> np.ndarray:
     """va * vb truncated at `order`, with only the output degrees 0..hi
     formed (default `order`; the entries above hi stay zero): the one-row
-    case of `_mul_rows`.  The outer loop runs over the operand with fewer
-    nonzero entries, va on a tie, each product is outer * inner, and the
-    contributions to an entry are added in the order of the outer operand,
-    then of the inner.  A `padded` va counts each of its entries of degree
-    hi or more as nonzero.  Exact operands are integer numerators over one
-    common denominator each; each nonzero output entry is reduced once and
-    stays an int where the product of the denominators is 1."""
+    case of `_mul_rows`, for vectors of any one number type.  The outer
+    loop runs over the operand with fewer nonzero entries, va on a tie, each
+    product is outer * inner, and the contributions to an entry are added in
+    the order of the outer operand, then of the inner.  A `padded` va counts
+    each of its entries of degree hi or more as nonzero."""
     (ia,), (ib,) = va.nonzero(), vb.nonzero()
     hi = order if hi is None else hi
     count = len(ia)
@@ -521,16 +518,7 @@ def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
     rows, cols, targets = _pairs(dim, order, ia, ib, 0, hi)
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
     va, vb = va[ia], vb[ib]
-    if va.dtype != object or vb.dtype != object:
-        np.add.at(out, targets, va[rows] * vb[cols])
-        return out
-    (na,), (da,) = _over_common_denominator(va[None])
-    (nb,), (db,) = _over_common_denominator(vb[None])
-    np.add.at(out, targets, na[rows] * nb[cols])
-    den = da * db
-    if den != 1:
-        nonzero = np.flatnonzero(out)
-        out[nonzero] = [Fraction(num, den) for num in out[nonzero]]
+    np.add.at(out, targets, va[rows] * vb[cols])
     return out
 
 
@@ -538,11 +526,11 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
               hi: int | None = None, padded: int = 0) -> None:
     """rows[r] <- rows[r] * b truncated at `order`, in place, for every row r
     of a C-contiguous 2-d array of graded vectors of degree <= order (rows
-    and b in one dtype), with only the output degrees 0..hi formed (default
-    `order`; the entries above hi end zero).  Each row ends equal bit for
-    bit to `_mul_pair` of it by b on its own with the same hi, padded when
-    it is one of the first `padded` rows (by default, to ps_mul of it by
-    b).  Three rules keep it so:
+    and b of one dtype, complex or object), with only the output degrees
+    0..hi formed (default `order`; the entries above hi end zero).  Each row
+    ends equal bit for bit to `_mul_pair` of it by b on its own with the same
+    hi, padded when it is one of the first `padded` rows (by default, to
+    ps_mul of it by b).  Two rules keep it so:
 
     - Per row, the outer loop runs over the operand with fewer nonzero
       entries (the row on a tie), each of the first `padded` rows counting
@@ -559,10 +547,6 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
       `_mul_pair` multiplies, two 1-d arrays out of place: numpy rounds a
       complex product of one element apart when it multiplies in place or
       broadcasts.
-    - Exact rows are integer numerators over one common denominator per row
-      (and one for b), multiplied by `_mul_int_rows`; each nonzero output
-      entry is reduced once and stays an int where the product of the two
-      denominators is 1.
     """
     hi = order if hi is None else hi
     if len(rows) == 1:
@@ -570,16 +554,6 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
         return
     if not rows.flags.c_contiguous:
         raise ValueError("_mul_rows needs C-contiguous rows")
-    if rows.dtype == object:
-        nums, dens = _over_common_denominator(rows)
-        (b_num,), (b_den,) = _over_common_denominator(b[None])
-        _mul_int_rows(dim, order, nums, b_num, hi)
-        dens = [den * b_den for den in dens]
-        at_row, at_col = np.nonzero(nums)
-        rows[...] = 0
-        rows[at_row, at_col] = [num if dens[r] == 1 else Fraction(num, dens[r])
-                                for r, num in zip(at_row.tolist(), nums[at_row, at_col])]
-        return
     nonzero = rows != 0
     nnz = np.count_nonzero(nonzero, axis=1)
     ib = np.flatnonzero(b)
@@ -621,31 +595,34 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
             np.add.at(out, flat, av.reshape(-1))
 
 
-def _mul_int_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
-                  hi: int | None = None) -> None:
-    """rows[r] <- rows[r] * b truncated at `order`, in place, for a 2-d object
-    array of Python ints and an int vector b, with only the output degrees
-    0..hi formed: the integer core of `_mul_rows`, which exact block rows
-    (`engine._power_rows`) run on directly, with no Fraction made.  Integer
-    sums are exact in any order, so one `_pairs` plan over the joint support
-    of the rows serves them all, a chunk of at most _CHUNK_PAIRS pair
-    products at a time; an entry zero in its row adds an exact zero."""
-    ib = np.flatnonzero(b)
-    joint = np.flatnonzero((rows != 0).any(axis=0))
-    at, bt, targets = _pairs(dim, order, joint, ib, 0, order if hi is None else hi)
-    at, bv = joint[at], b[ib[bt]]
-    step = max(1, _CHUNK_PAIRS // max(len(targets), 1))
-    for lo in range(0, len(rows), step):
-        part = rows[lo:lo + step]
-        products = part[:, at] * bv
-        part[...] = 0
-        np.add.at(part, (np.arange(len(part))[:, None], targets), products)
+def _multiply(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
+              hi: int | None = None, padded: int = 0) -> None:
+    """`_mul_rows` for rows and b of either kind, in place.  Complex rows go
+    to the kernel as they are.  Exact rows keep the one exact rule: the rows
+    and b are split into integer numerators over one common denominator each
+    (`_over_common_denominator`), the kernel multiplies the numerators, and
+    each nonzero output entry is rebuilt once, an int where the product of
+    the two denominators is 1, else one Fraction: no gcd is taken for a
+    product or a sum."""
+    if rows.dtype != object:
+        _mul_rows(dim, order, rows, b, hi, padded)
+        return
+    nums, dens = _over_common_denominator(rows)
+    (b_num,), (b_den,) = _over_common_denominator(b[None])
+    _mul_rows(dim, order, nums, b_num, hi, padded)
+    dens = [den * b_den for den in dens]
+    at_row, at_col = np.nonzero(nums)
+    rows[...] = 0
+    rows[at_row, at_col] = [num if dens[r] == 1 else Fraction(num, dens[r])
+                            for r, num in zip(at_row.tolist(), nums[at_row, at_col])]
 
 
 def ps_mul(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
-    """Product truncated at min(N_a, N_b); the one-row case of `_mul_rows`."""
+    """Product truncated at min(N_a, N_b): the one-row case of `_multiply`."""
     n, va, vb = a._aligned(b)
-    return ScalarSeries(a.dim, n, _mul_pair(a.dim, n, va, vb))
+    out = va[None].copy()
+    _multiply(a.dim, n, out, vb)
+    return ScalarSeries(a.dim, n, out[0])
 
 
 def ps_derivative(a: ScalarSeries, var: int) -> ScalarSeries:
@@ -801,7 +778,7 @@ def _horner(f: np.ndarray, f_order: int, comps: list[np.ndarray], dim: int,
         prev = 0  # the chains that the step before multiplied or cleared
         for k, (live, targets, sources) in zip(range(len(steps) - 1, -1, -1), steps):
             if live and k < n:
-                _mul_rows(dim, n, acc[:live], comp, n - k, padded=prev)
+                _multiply(dim, n, acc[:live], comp, n - k, padded=prev)
             elif live:
                 acc[:live] = 0
             prev = live
@@ -985,6 +962,6 @@ def vs_inverse(a: VectorSeries) -> VectorSeries:
         for j, c in enumerate(comp.components):
             r = c - ScalarSeries.variable(dim, order, j, exact=a.exact)
             rows, rv = _common(np.stack([ps_derivative(bi, j).vec for bi in b_cur]), r.vec)
-            _mul_rows(dim, order, rows, rv)
+            _multiply(dim, order, rows, rv)
             b[:, :size] -= rows
     return VectorSeries.from_components(ScalarSeries(dim, n, v) for v in b)

@@ -43,7 +43,6 @@ from .series import (
     VectorSeries,
     _coeff_vector,
     _common,
-    _mul_pair,
     _rank,
     _rescaled,
     graded_size,
@@ -53,6 +52,7 @@ from .series import (
     monomial_basis,
     multi_factorial,
     ps_compose,
+    ps_mul,
 )
 
 __all__ = [
@@ -277,8 +277,9 @@ def sym_product(a: SymCoeff, b: SymCoeff) -> SymCoeff:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     dim, degree = a.dim, a.degree + b.degree
-    out = _mul_pair(dim, degree, *_common(a._graded(degree), b._graded(degree)))
-    return SymCoeff(dim, degree, out[graded_size(dim, degree - 1):])
+    out = ps_mul(ScalarSeries(dim, degree, a._graded(degree)),
+                 ScalarSeries(dim, degree, b._graded(degree)))
+    return SymCoeff(dim, degree, out.degree_part(degree))
 
 
 def sym_contract(theta: SymCoeff, phi: SymCoeff) -> SymCoeff:

@@ -11,11 +11,16 @@ sums bit for bit; the composition oracles
 are the routes that made one product per Horner step, per Jacobian entry
 and per block row, kept to pin the batched ones bit for bit; the first
 Horner construction, with untruncated steps, is kept to pin the truncated
-one.  The dense tensor of a coefficient vector is filled one slot tuple at
+one.  The plain-arithmetic oracles multiply, compose and invert term maps
+with Python's own int and Fraction arithmetic, one pair of terms at a time,
+to pin the exact rule in value and in type.  The dense tensor of a
+coefficient vector is filled one slot tuple at
 a time, to pin the library's gather, and the umbral transform is expanded
 over compositions with dense tensors.  The norm-check oracles take the long
 way round instead: one full graded apply per monomial, and one polynomial
-evaluation per sampled point.  The graded apply oracle takes the built
+evaluation per sampled point, and the first image-norm route reads one
+block V[k, n] per `column_norms` call, to pin the row panels bit for bit.
+The graded apply oracle takes the built
 blocks and multiplies them one (k, n) pair at a time, and the
 binomial-identity oracle convolves the built P_n one symmetric product at a
 time.
@@ -30,12 +35,13 @@ from fractions import Fraction
 import numpy as np
 
 from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, sheffer_apply
-from shefferkit.norms import GradedNorm, _auto_radial_max, _directions, coeff_norm
-from shefferkit.series import (ScalarSeries, VectorSeries, _common, _mul_pair,
+from shefferkit.norms import (GradedNorm, _auto_radial_max, _degree_scale, _directions,
+                              coeff_norm)
+from shefferkit.series import (ScalarSeries, VectorSeries, _common, _multiply,
                                _over_common_denominator, _product_table, _rescaled, _room_starts,
                                graded_exponents, graded_size, monomial_basis,
                                multi_factorial, ps_derivative, ps_mul, vs_compose)
-from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, sym_norm, sym_product
+from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, column_norms, sym_norm, sym_product
 
 
 def gbinom(top: int, j: int) -> Fraction:
@@ -290,17 +296,51 @@ def geometric_recip(a: ScalarSeries) -> ScalarSeries:
     return acc
 
 
-def dict_product(a: ScalarSeries, b: ScalarSeries) -> dict[tuple[int, ...], object]:
-    """Product truncated at min(N_a, N_b) as an exponent-tuple map, by the
-    explicit double loop over both operands' terms."""
-    n = min(a.max_degree, b.max_degree)
-    out: dict[tuple[int, ...], object] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+def plain_product(a: dict, b: dict, top: int) -> dict:
+    """Product of two exponent-tuple -> coefficient maps through degree top,
+    by Python's own int and Fraction arithmetic over every pair of terms;
+    zero sums are left out."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            if sum(key) <= n:
+            if sum(key) <= top:
                 out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c != 0}
+
+
+def dict_product(a: ScalarSeries, b: ScalarSeries) -> dict[tuple[int, ...], object]:
+    """Product truncated at min(N_a, N_b) as an exponent-tuple map, by the
+    explicit double loop over both operands' terms (`plain_product`)."""
+    return plain_product(a.terms, b.terms, min(a.max_degree, b.max_degree))
+
+
+def plain_compose(f: dict, gs: list[dict], dim: int, top: int) -> dict:
+    """f with the maps `gs` (dim variables) substituted, through degree top:
+    every term of f is a product of powers of the gs (`plain_product`)."""
+    out: dict = {}
+    for exps, c in f.items():
+        term = {(0,) * dim: c}
+        for g, e in zip(gs, exps):
+            for _ in range(e):
+                term = plain_product(term, g, top)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def plain_inverse(a: list[dict], dim: int, top: int) -> list[dict]:
+    """Compositional inverse b of a unit-linear map `a`, degree by degree:
+    with b fixed below degree n, the degree-n part of a(b) is that of the
+    terms of a past the linear ones, and b's degree-n part is its negative."""
+    b = [{tuple(int(j == i) for j in range(dim)): 1} for i in range(dim)]
+    for n in range(2, top + 1):
+        parts = [plain_compose(ai, b, dim, n) for ai in a]
+        for bi, part in zip(b, parts):
+            for key, c in part.items():
+                if sum(key) == n:
+                    bi[key] = bi.get(key, 0) - c
+    return [{key: c for key, c in bi.items() if c != 0} for bi in b]
 
 
 def naive_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
@@ -439,7 +479,9 @@ def horner_compose(f: ScalarSeries, g: VectorSeries) -> ScalarSeries:
             return ScalarSeries.zero(dim, n)
         va, vb = _common(acc.vec, comp.vec)
         padded = e + 1 < top  # the step for e + 1 formed degrees 0..n - e - 1 at most
-        return ScalarSeries(dim, n, _mul_pair(dim, n, va, vb, n - e, padded))
+        out = va[None].copy()
+        _multiply(dim, n, out, vb, n - e, padded)
+        return ScalarSeries(dim, n, out[0])
 
     return _horner_rec(f, g, step)
 
@@ -519,6 +561,15 @@ def apply_by_blocks(blocks: dict, p: PolynomialOnDual, exact: bool) -> Polynomia
 
 
 # -- norm-check oracles -----------------------------------------------------------
+
+
+def image_norms_by_block(seq: ShefferSequence, n: int, g: GradedNorm, low: int = 0
+                         ) -> np.ndarray:
+    """The first `norms._image_norms`: for the monomials w^gamma of degree
+    n, the coeff_norm of the degree-low..n parts of S w^gamma, one
+    `column_norms` call per block V[k, n], summed by increasing k."""
+    return sum(_degree_scale(k, g) * column_norms(seq.blocks[(k, n)], seq.dim, k, g.weight)
+               for k in range(low, n + 1))
 
 
 def monomial_ratio(seq: ShefferSequence, gamma: tuple[int, ...], g_out: GradedNorm,

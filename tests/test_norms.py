@@ -11,6 +11,7 @@ from shefferkit.norms import (
     BoundReport,
     GradedNorm,
     PreconditionError,
+    _image_norms,
     appell_condition_check,
     coeff_norm,
     divergence_sweep,
@@ -20,11 +21,12 @@ from shefferkit.norms import (
     quasi_holo_probe,
     sup_norm_estimate,
 )
-from shefferkit.series import ScalarSeries, VectorSeries, monomial_basis
+from shefferkit.series import ScalarSeries, VectorSeries, graded_size, monomial_basis
 from shefferkit.symtensor import SymCoeff, WeightedInnerProduct
 
 from oracles import (
     fine_grid_sup_1d,
+    image_norms_by_block,
     monomial_ratio,
     pointwise_sup,
     random_series,
@@ -431,6 +433,76 @@ class TestAgainstOracles:
         est = sup_norm_estimate(p, g, directions=4, radial_grid=32,
                                 rng=np.random.default_rng(7))
         assert close(est, pointwise_sup(p, g, 4, 32, np.random.default_rng(7)))
+
+
+# catalog sequences with a non-identity weight of their dimension
+PANEL_CASES = [
+    (FamilySpec("charlier", 2, 10, weights=(0.3, 1.5)), [[2.0, 0.5], [0.5, 1.0]]),
+    (FamilySpec("hermite", 2, 8, cov=((1.0, 0.25), (0.25, 1.5))), [[1.5, 0.25j], [-0.25j, 1.0]]),
+    (FamilySpec("rising", 3, 6), [[2.0, 0.3j, 0.1], [-0.3j, 1.5, 0.2], [0.1, 0.2, 1.0]]),
+    (FamilySpec("falling", 1, 20), [[2.5]]),
+]
+
+
+def degree_slices(dim, top):
+    return [slice(graded_size(dim, n - 1), graded_size(dim, n)) for n in range(top + 1)]
+
+
+class TestPanelNorms:
+    """One column_norms call per row panel against one per block, bit for bit."""
+
+    @staticmethod
+    def assert_matches_blocks(seq, top, g_out, g_in):
+        image, own = _image_norms(seq, top, g_out, g_in)
+        for n, at in enumerate(degree_slices(seq.dim, top)):
+            assert image[at].tobytes() == image_norms_by_block(seq, n, g_out).tobytes(), n
+            assert own[at].tobytes() == image_norms_by_block(seq, n, g_in, low=n).tobytes(), n
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("spec, matrix", PANEL_CASES, ids=[s.kind for s, _ in PANEL_CASES])
+    def test_reports_match_block_sums(self, spec, matrix, weighted):
+        seq = build_sheffer(*make_family(spec), spec.max_degree)
+        weight = WeightedInnerProduct(np.array(matrix)) if weighted else None
+        top = seq.max_degree
+        for alpha, level in ((0.5, 1), (1.0, 0)):
+            rep = operator_bound_check(seq, alpha, level, weight=weight)
+            g_out = GradedNorm(alpha, level, weight)
+            g_in = GradedNorm(alpha, rep.params["l_prime"], weight)
+            self.assert_matches_blocks(seq, top, g_out, g_in)
+            self.assert_matches_blocks(seq, top // 2, g_out, g_in)
+            assert [row["max_ratio"] for row in rep.per_degree] == [
+                float(np.max(image_norms_by_block(seq, n, g_out)
+                             / image_norms_by_block(seq, n, g_in, low=n))) for n in range(top + 1)]
+        g = GradedNorm(2.0, 0, weight)
+        sweep = divergence_sweep(seq, 2.0, range(1, top + 1), weight=weight)
+        assert [(row["norm_num"], row["norm_den"]) for row in sweep.rows] == [
+            (float(image_norms_by_block(seq, n, g)[0]),
+             float(image_norms_by_block(seq, n, g, low=n)[0])) for n in range(1, top + 1)]
+
+    def test_columns_past_2_480_rescaled(self):
+        # falling blocks at N = 100 hold Stirling numbers past 2^480, whose
+        # squares overflow: column_norms sums those columns again, rescaled
+        seq = build_sheffer(*make_family(FamilySpec("falling", 1, 100)), 100)
+        assert np.abs(seq.matrix).max() >= 2.0 ** 480
+        self.assert_matches_blocks(seq, 100, GradedNorm(1.0, 0), GradedNorm(1.0, 2))
+
+    def test_sweep_below_an_overflowing_degree(self):
+        # the norm weight (n!)^(1/alpha) leaves the double range at n = 171;
+        # a sweep that stops below it reads no panel of that degree
+        order = 172
+        seq = build_sheffer(VectorSeries.identity(1, order),
+                            ScalarSeries.from_coeffs_1d([1.0, 0.5], order), order)
+        g = GradedNorm(2.0, 0)
+        rep = divergence_sweep(seq, 2.0, [1, 5, 170])
+        assert [(row["norm_num"], row["norm_den"]) for row in rep.rows] == [
+            (float(image_norms_by_block(seq, n, g)[0]),
+             float(image_norms_by_block(seq, n, g, low=n)[0])) for n in (1, 5, 170)]
+        self.assert_matches_blocks(seq, 170, g, g)
+        for degrees in ([1, 5, 171], [172]):
+            with pytest.raises(ValueError, match="at level 0, degree 171$"):
+                divergence_sweep(seq, 2.0, degrees)
+        with pytest.raises(ValueError, match="at level 0, degree 171$"):
+            image_norms_by_block(seq, 172, g)
 
 
 class TestBoundReport:

@@ -14,9 +14,9 @@ from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
     _degree_recurrence,
-    _mul_int_rows,
     _mul_pair,
     _mul_rows,
+    _multiply,
     _over_common_denominator,
     _pairs,
     _product_table,
@@ -46,6 +46,9 @@ from oracles import (
     masked_pairs,
     mercator_log,
     naive_compose,
+    plain_compose,
+    plain_inverse,
+    plain_product,
     random_series,
     random_unit_linear,
     recip_triangular_1d,
@@ -397,7 +400,7 @@ def per_row(dim, order, rows, b):
 
 def batched(dim, order, rows, b):
     out = np.array(rows)
-    _mul_rows(dim, order, out, b)
+    _multiply(dim, order, out, b)
     return list(out)
 
 
@@ -405,7 +408,7 @@ KERNEL_SIZES = [(1, 9), (2, 6), (3, 5), (4, 4)]
 
 
 class TestMulRows:
-    # the batched kernel against ps_mul of each row on its own, bit for bit
+    # batched products (`_multiply`) against ps_mul of each row on its own, bit for bit
     @staticmethod
     def rows_around(rng, dim, order, b_nnz, exact):
         """Rows on both sides of the outer-operand rule (fewer, as many and
@@ -521,7 +524,7 @@ class TestProductTableRoute:
         ints = np.array([[int(x) for x in row] for row in ints], dtype=object)
         for hi in (None, order // 2):
             batch = ints.copy()
-            _mul_int_rows(dim, order, batch, ints[0], hi)
+            _mul_rows(dim, order, batch, ints[0], hi)
             out += list(batch)
         for c in (rows[0], rows[1], rows[3]):
             out += [_degree_recurrence(ScalarSeries(dim, order, c), divide).vec
@@ -538,7 +541,7 @@ class TestProductTableRoute:
 
 
 class TestOverCommonDenominator:
-    # the one exact rule of both kernels, a row at a time
+    # the split of `_multiply`, the one exact rule, a row at a time
     def test_rows(self):
         rows = np.array([[3, -2, 0, 5],
                          [F(1, 2), F(-2, 3), F(3, 5), F(1, 7)],
@@ -551,6 +554,103 @@ class TestOverCommonDenominator:
         assert all(type(x) is int for x in nums.ravel())
         for row, num, den in zip(rows, nums, dens):
             assert [F(n, den) for n in num] == list(row)
+
+
+def plain_terms(rng, dim, order, kind, keep=0.6, lowest=0):
+    """A random exponent -> coefficient map: ints, or Fractions none of which
+    is an integer (odd over a power of two), so every row of them has a
+    common denominator past 1."""
+    def draw():
+        if kind == "int":
+            return int(rng.integers(-9, 10))
+        return F(2 * int(rng.integers(-5, 5)) + 1, 2 ** int(rng.integers(1, 4)))
+
+    return {b: draw() for deg in range(lowest, order + 1) for b in monomial_basis(dim, deg)
+            if rng.random() < keep}
+
+
+def plain_vector(terms, dim, order):
+    """`terms` over the graded basis of degree <= order, int 0 elsewhere."""
+    return np.array([terms.get(b, 0) for k in range(order + 1) for b in monomial_basis(dim, k)],
+                    dtype=object)
+
+
+def typed(terms):
+    return {key: (type(c), c) for key, c in terms.items()}
+
+
+EXACT_SIZES = [(1, 8), (2, 6), (3, 4)]
+KINDS = [("fraction", "fraction"), ("int", "fraction"), ("fraction", "int"), ("int", "int")]
+
+
+class TestExactRule:
+    # every exact product route against Python's own int and Fraction
+    # arithmetic over the terms, in value and in type: an entry is an int
+    # where both operands' denominators are 1, and int 0 where it is zero
+    @pytest.mark.parametrize("kinds", KINDS, ids=["-".join(k) for k in KINDS])
+    @pytest.mark.parametrize("dim, order", EXACT_SIZES)
+    def test_ps_mul(self, dim, order, kinds):
+        rng = np.random.default_rng([dim, order, KINDS.index(kinds)])
+        a, b = (plain_terms(rng, dim, order, kind) for kind in kinds)
+        got = ps_mul(*(ScalarSeries.from_terms(dim, order, t) for t in (a, b)))
+        assert bits(got.vec) == bits(plain_vector(plain_product(a, b, order), dim, order))
+
+    @pytest.mark.parametrize("kinds", KINDS, ids=["-".join(k) for k in KINDS])
+    @pytest.mark.parametrize("dim, order", EXACT_SIZES)
+    def test_batched_rows(self, dim, order, kinds):
+        # banded hi, padded rows and an all-zero row; int rows also go to
+        # the kernel directly, as the engine's exact block rows do
+        rng = np.random.default_rng([dim, order, KINDS.index(kinds), 1])
+        row_kind, b_kind = kinds
+        rows = [plain_terms(rng, dim, order, row_kind, keep) for keep in (1.0, 0.3, 0.0, 0.6)]
+        b = plain_terms(rng, dim, order, b_kind)
+        for hi, padded in ((None, 0), (order - 1, 2), (max(1, order // 2), 0), (order - 2, 4)):
+            top = order if hi is None else hi
+            want = [bits(plain_vector(plain_product(r, b, top), dim, order)) for r in rows]
+            batch = np.array([plain_vector(r, dim, order) for r in rows])
+            _multiply(dim, order, batch, plain_vector(b, dim, order), hi, padded)
+            assert [bits(v) for v in batch] == want
+            if kinds == ("int", "int"):
+                batch = np.array([plain_vector(r, dim, order) for r in rows])
+                _mul_rows(dim, order, batch, plain_vector(b, dim, order), hi, padded)
+                assert [bits(v) for v in batch] == want
+
+    @pytest.mark.parametrize("kinds", KINDS, ids=["-".join(k) for k in KINDS])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sym_product(self, dim, kinds):
+        rng = np.random.default_rng([dim, KINDS.index(kinds), 2])
+        for k, m in ((0, 3), (2, 2), (3, 1)):
+            a, b = (plain_terms(rng, dim, deg, kind, keep=0.8, lowest=deg)
+                    for deg, kind in zip((k, m), kinds))
+            got = sym_product(SymCoeff.from_coeffs(dim, k, a), SymCoeff.from_coeffs(dim, m, b))
+            want = plain_product(a, b, k + m)
+            assert bits(got.vec) == bits(np.array(
+                [want.get(beta, 0) for beta in monomial_basis(dim, k + m)], dtype=object))
+
+    @pytest.mark.parametrize("kind", ["fraction", "int"])
+    @pytest.mark.parametrize("dim, order", EXACT_SIZES)
+    def test_ps_compose(self, dim, order, kind):
+        rng = np.random.default_rng([dim, order, kind == "int", 3])
+        f = plain_terms(rng, dim, order, kind)
+        gs = [plain_terms(rng, dim, order, kind, lowest=1) for _ in range(dim)]
+        got = ps_compose(ScalarSeries.from_terms(dim, order, f), VectorSeries.from_components(
+            ScalarSeries.from_terms(dim, order, g) for g in gs))
+        assert typed(got.terms) == typed(plain_compose(f, gs, dim, order))
+
+    @pytest.mark.parametrize("kind", ["fraction", "int"])
+    @pytest.mark.parametrize("dim, order", EXACT_SIZES)
+    def test_vs_inverse(self, dim, order, kind):
+        rng = np.random.default_rng([dim, order, kind == "int", 4])
+        a = []
+        for i in range(dim):
+            unit = tuple(int(j == i) for j in range(dim))
+            comp = plain_terms(rng, dim, order, kind, lowest=3)
+            comp.update(plain_terms(rng, dim, 2, kind, keep=1.0, lowest=2))
+            a.append({unit: F(1) if kind == "fraction" else 1, **comp})
+        got = vs_inverse(VectorSeries.from_components(
+            ScalarSeries.from_terms(dim, order, comp) for comp in a))
+        want = plain_inverse(a, dim, order)
+        assert [typed(c.terms) for c in got.components] == [typed(w) for w in want]
 
 
 def rational_series(rng, dim, order, keep=1.0, lowest=0):
