@@ -198,17 +198,25 @@ def _emit_report(cfg: RunConfig, doc: dict, fieldnames: list[str],
                  rows: list[dict]) -> None:
     """Write `doc` as JSON (sorted keys, indent 2), or `rows` as CSV under a
     header row with every float written as its repr.  The rows hold values of
-    `doc`; a NaN or Infinity in it raises a ValueError, and nothing is written."""
+    `doc`; a NaN or Infinity in it raises a ValueError, and nothing is written.
+    A CSV report checks `doc` with the compact C encoder; only a failing doc
+    goes through the indented encoder, whose message names the value."""
     if not cfg.out:
         raise ValueError("--out is required for report commands")
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.format == "csv":
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:
+            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+            raise
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows({k: repr(float(v)) if isinstance(v, float) else v
                           for k, v in row.items()} for row in rows)
         text = buf.getvalue()
+    else:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -250,7 +258,8 @@ def _transform_command(cfg: RunConfig, inverse: bool) -> int:
     seq = _resolve_sequence(cfg)
     p = _load_polynomial(cfg.input)
     q = sheffer_inverse_apply(seq, p) if inverse else sheffer_apply(seq, p)
-    _emit_report(cfg, q.to_json_dict(), ["degree", "exp", "re", "im"], _poly_rows(q))
+    rows = _poly_rows(q) if cfg.format == "csv" else []
+    _emit_report(cfg, q.to_json_dict(), ["degree", "exp", "re", "im"], rows)
     print(f"{'expanded' if inverse else 'applied'} degree {p.trimmed().degree} "
           f"-> {q.trimmed().degree}, wrote {cfg.out}")
     return EXIT_OK

@@ -333,15 +333,18 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
     the factorials of `_factorial_weights`.
 
     In exact mode an entry is made once, as Fraction(gamma! * num, beta! * den)
-    from its numerator and its row's denominator.  In float mode an entry is
-    (gamma! * c) / beta! with both factorials as
-    floats.  On the top diagonal (beta = gamma, k = n) the coefficient c is
-    exactly 1, being a product of the unit linear terms of vec and of
-    factor(0) = 1, so the entry divides the identical float by itself: the
-    monic blocks stay exactly the identity in float mode as well.  Where a
-    factorial or the product leaves the double range the weight is applied
-    exactly and rounded once; an entry that is itself out of range raises a
-    ValueError naming the lowest degree at which that happens.
+    from its numerator and its row's denominator.  In float mode the raw rows
+    of every degree are written into the matrix, and the whole matrix is
+    weighted once, in place, real and imaginary parts each: an entry becomes
+    (gamma! * c) / beta! with both factorials as floats, and no second
+    matrix is made.  On the top diagonal (beta = gamma, k = n) the
+    coefficient c is exactly 1, being a product of the unit linear terms of
+    vec and of factor(0) = 1, so the entry divides the identical float by
+    itself: the monic blocks stay exactly the identity in float mode as
+    well.  Where a factorial or the product leaves the double range the
+    entry is made again from its raw coefficient (`_rescue`), the weight
+    applied exactly and rounded once; an entry that is itself out of range
+    raises a ValueError naming the lowest degree at which that happens.
     """
     d = vec.dim_in
     offsets = _graded_offsets(d, order)
@@ -359,18 +362,35 @@ def _transfer_blocks(vec: VectorSeries, factor: ScalarSeries, order: int, exact:
                     Fraction(fact[col] * num, row_dens[r])
                     for r, col, num in zip(at_row.tolist(), at_col.tolist(), nums[at_row, at_col])]
             else:
-                fbeta = ffact[lo:offsets[k + 1], None]
-                rows.real = ffact * raw.real / fbeta
-                rows.imag = ffact * raw.imag / fbeta
-                for r, col in zip(*np.nonzero(~np.isfinite(rows))):
-                    rows[r, col] = _rescaled(raw[r, col], fact[col], fact[lo + r])
+                rows[...] = raw
+        if not exact:
+            for part in (mat.real, mat.imag):
+                np.multiply(part, ffact, out=part)
+                np.divide(part, ffact[:, None], out=part)
+            if not np.isfinite(mat).all():
+                _rescue(mat, vec, factor, order, offsets)
     mat.flags.writeable = False
-    if not exact and not np.isfinite(mat).all():
+    return mat, _BlockViews(mat, offsets)
+
+
+def _rescue(mat: np.ndarray, vec: VectorSeries, factor: ScalarSeries, order: int,
+            offsets: list[int]) -> None:
+    """Every entry of a weighted float matrix that is not finite made again
+    from its raw coefficient, the power rows being built anew as far as the
+    highest degree that holds one (they are the same bits): the weight
+    applied exactly and rounded once (`_rescaled`).  A ValueError names the
+    lowest degree n, then k, of a block V[k, n] that stays out of range."""
+    fact = _factorial_weights(vec.dim_in, order)[0]
+    bad_row, bad_col = np.nonzero(~np.isfinite(mat))
+    degrees = np.searchsorted(offsets, bad_row, side="right") - 1
+    for k, raw in zip(range(int(degrees.max()) + 1), _power_rows(vec, factor, order, False)):
+        for r, col in zip(bad_row[degrees == k].tolist(), bad_col[degrees == k].tolist()):
+            mat[r, col] = _rescaled(raw[r - offsets[k], col], fact[col], fact[r])
+    if not np.isfinite(mat).all():
         k, n = np.searchsorted(offsets, np.nonzero(~np.isfinite(mat)), side="right") - 1
         n, k = min(zip(n.tolist(), k.tolist()))  # the lowest degree n, then k
         raise ValueError(f"float block V[{k},{n}] leaves the double range; "
                          f"lower max_degree below {n}")
-    return mat, _BlockViews(mat, offsets)
 
 
 class ShefferSequence:

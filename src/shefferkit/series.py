@@ -23,15 +23,22 @@ degree passes N.  There are two kernels, for complex vectors and object
 vectors of ints alike: `_mul_pair` multiplies two vectors, and `_mul_rows`
 multiplies many, the rows of one array, by one vector with one gather plan
 over the rows' joint support, and gives each row the bits `_mul_pair` gives
-it.  Ring products go through `_multiply`, the one exact rule: exact rows are
-split into integer numerators over one common denominator per row, the
-kernel multiplies the integers, and each nonzero output entry is rebuilt
+it.  In one variable `_mul_pair` makes no pair plan: the partners of the
+outer entries are shifted runs of the inner vector, the rows of one strided
+view (`_band`), and one broadcast product summed over its rows adds the
+terms of each output entry in the order the pair gather adds them; a sum
+that is not finite is formed again by the pair gather.  Ring products go
+through `_multiply`, the one exact rule: exact rows are split into integer
+numerators over one common denominator per row, the kernel multiplies the
+integers, and each nonzero output entry is rebuilt
 once, instead of a gcd for every product and every sum.  The engine's exact
 block rows are integers already and go to `_mul_rows` directly.  This is
 exact coefficient arithmetic, not an FFT, so structural zeros remain exact
 zeros.  exp, log and the reciprocal are degree recurrences in the Euler
 operator E = sum_i x_i d/dx_i (Knuth, TAOCP Vol. 2, 4.7) on the same gather,
-each degree part computed once from the lower ones.  Composition is Horner's
+each degree part computed once from the lower ones (in one variable a
+degree is one entry, and its products are summed in order by one
+accumulate).  Composition is Horner's
 scheme (4.6.4) run in lockstep: one variable at a time, innermost first,
 every Horner chain of that variable, across several outer series, takes
 each step in one batched product, about f.dim * N of them per composition.
@@ -148,13 +155,21 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+class _CheckedTerms(dict):
+    """Terms whose keys are exponent tuples checked by `_exponent_key`
+    already, as `json_terms` makes them."""
+
+
 def _coeff_vector(terms: Mapping, dim: int, low: int, high: int) -> np.ndarray:
     """Vector over the graded basis of degrees low..high holding `terms`
-    (exponent tuple -> coefficient), exact or complex128."""
+    (exponent tuple -> coefficient), exact or complex128.  Each key is
+    checked by `_exponent_key` unless the terms are `_CheckedTerms`, and
+    each degree against low..high."""
     lo = graded_size(dim, low - 1)
     vec = np.zeros(graded_size(dim, high) - lo, dtype=object)
+    checked = isinstance(terms, _CheckedTerms)
     for key, c in terms.items():
-        exps = _exponent_key(key, dim)
+        exps = key if checked else _exponent_key(key, dim)
         if not low <= sum(exps) <= high:
             raise ValueError(f"exponent {exps} must have total degree in {low}..{high}")
         vec[_index(exps) - lo] = c
@@ -390,8 +405,9 @@ def finite_number(value, name: str) -> float:
 def json_terms(doc: dict, dim: int) -> dict[tuple[int, ...], complex]:
     """The `terms` list of a document, {"exp": [...], "re": x, "im": y} each:
     exponents of length `dim`, each at most once, finite real and imaginary
-    parts."""
-    terms = {}
+    parts.  The keys are checked here, once: the constructors that place the
+    terms (`_coeff_vector`) take them as they are."""
+    terms = _CheckedTerms()
     for term in json_field(doc, "terms", list):
         term = json_object(term, "term")
         parts = [term.get("re"), term.get("im")]
@@ -498,15 +514,54 @@ def _pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     return rows, cols, _targets(dim, order, ia[rows], ib[cols])
 
 
+def _band(outer: np.ndarray, inner: np.ndarray, io: np.ndarray, jn: np.ndarray,
+          hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(start, span, band) of the one-variable product outer * inner up to
+    degree hi, io and jn being the sorted nonzero indices of the operands
+    (io[0] + jn[0] <= hi): span is outer[i0..i1], the outer entries from the
+    first nonzero one to the last one that still meets inner's first nonzero
+    entry j0 at degree hi or below, and band is a read-only (m x w) view of
+    the zero-padded inner vector whose row r is inner shifted by r, so that
+    span[r] * band[r, c] is the term of outer[i0 + r] in output entry
+    start + c, and the w columns run from i0 + j0 to the lowest of hi and
+    the last nonzero degree.  Only inner's run from j0 is copied, once, into
+    the padded vector, and the rows share it: the view's strides are
+    (-itemsize, itemsize)."""
+    j0, j1, i0 = int(jn[0]), int(jn[-1]), int(io[0])
+    i1 = int(io[io.searchsorted(hi - j0, "right") - 1])
+    m, w = i1 - i0 + 1, min(hi, i1 + j1) - i0 - j0 + 1
+    pad = np.zeros(m - 1 + w, dtype=inner.dtype)
+    run = min(w, j1 - j0 + 1)
+    pad[m - 1:m - 1 + run] = inner[j0:j0 + run]
+    step = pad.itemsize
+    band = np.ndarray((m, w), pad.dtype, pad, (m - 1) * step, (-step, step))
+    band.flags.writeable = False
+    return i0 + j0, outer[i0:i1 + 1], band
+
+
 def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
               hi: int | None = None, padded: bool = False) -> np.ndarray:
     """va * vb truncated at `order`, with only the output degrees 0..hi
     formed (default `order`; the entries above hi stay zero): the one-row
-    case of `_mul_rows`, for vectors of any one number type.  The outer
-    loop runs over the operand with fewer nonzero entries, va on a tie, each
-    product is outer * inner, and the contributions to an entry are added in
-    the order of the outer operand, then of the inner.  A `padded` va counts
-    each of its entries of degree hi or more as nonzero."""
+    case of `_mul_rows`, for complex vectors or object vectors of ints.  The
+    outer loop runs over the operand with fewer nonzero entries, va on a
+    tie, each product is outer * inner, and the contributions to an entry
+    are added in the order of the outer operand, then of the inner.  A
+    `padded` va counts each of its entries of degree hi or more as nonzero.
+
+    In one variable the partners of each outer entry are one run of inner
+    entries, and no pair plan is made: the outer span times its `_band`,
+    one broadcast product, is summed over its rows into the output, which
+    adds the terms of each entry in outer order, as `np.add.at` adds the pairs
+    (numpy reduces axis 0 of a C-contiguous array row by row; w >= m, so a
+    band of more than one row has more than one column, and no pairwise sum
+    of a 1-d reduction applies).  The band also forms the products of zero
+    entries; a finite one is a signed zero, which leaves a nonzero sum as it
+    is, and the final + 0 turns an all-zero sum back into +0.0 as the pair
+    route leaves it, should the reduction start from the first row rather
+    than from +0.0.  A sum that is not finite may hold a 0 * inf, and is
+    formed again through the pair plan (`_pairs`), as every product is at
+    d >= 2."""
     (ia,), (ib,) = va.nonzero(), vb.nonzero()
     hi = order if hi is None else hi
     count = len(ia)
@@ -515,8 +570,16 @@ def _mul_pair(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
         count = int(ia.searchsorted(cut)) + len(va) - cut
     if count > len(ib):
         ia, ib, va, vb = ib, ia, vb, va
-    rows, cols, targets = _pairs(dim, order, ia, ib, 0, hi)
     out = np.zeros(graded_size(dim, order), dtype=va.dtype)
+    if dim == 1 and len(ia) and len(ib) and ia[0] + ib[0] <= hi:
+        start, span, band = _band(va, vb, ia, ib, hi)
+        total = out[start:start + band.shape[1]]
+        np.add.reduce(span[:, None] * band, axis=0, out=total)
+        total += 0
+        if total.dtype == object or np.isfinite(total).all():
+            return out
+        total[...] = 0
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, hi)
     va, vb = va[ia], vb[ib]
     np.add.at(out, targets, va[rows] * vb[cols])
     return out
@@ -543,10 +606,10 @@ def _mul_rows(dim: int, order: int, rows: np.ndarray, b: np.ndarray,
       when some row of the group is zero somewhere on the joint support.
     - An all-zero row is not multiplied (it becomes zeros), and an entry that
       is zero in its row but inside the joint support forms no product: no
-      0 * inf = NaN.  A chunk of a single product is multiplied as
-      `_mul_pair` multiplies, two 1-d arrays out of place: numpy rounds a
-      complex product of one element apart when it multiplies in place or
-      broadcasts.
+      0 * inf = NaN.  A chunk of a single product is multiplied as the pair
+      gather of `_mul_pair` multiplies, two 1-d arrays out of place: numpy
+      rounds a complex product of one element apart when it multiplies in
+      place.
     """
     hi = order if hi is None else hi
     if len(rows) == 1:
@@ -647,17 +710,28 @@ def _degrees(a: ScalarSeries) -> np.ndarray:
 def _degree_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
     """f with f_0 = 1 and f_n = sum_{k=1..n} c_k f_{n-k} over degree parts,
     divided by n when `divide`.  At degree n the nonzero entries of c of
-    degree 1..n meet the entries of f below degree n, and only the products
-    that land in degree n are formed."""
+    degree 1..n meet the nonzero entries of f below degree n, and only the
+    products that land in degree n are formed, in the order of c's entries.
+    In one variable degree n is the single entry n: its products are those
+    of the nonzero c_k whose partner f_{n-k} is nonzero, and they are summed
+    left to right by `np.add.accumulate` (a 1-d `np.add.reduce` would sum
+    pairwise), with + 0 for the +0.0 that the pair route leaves; in more
+    variables a pair plan (`_pairs`) places them."""
     deg = _degrees(c)
     ic = np.flatnonzero(c.vec[1:]) + 1
     f = np.zeros_like(c.vec)
     f[0] = 1
     for n in range(1, c.max_degree + 1):
         lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
-        ia, (ib,) = ic[ic < hi], f[:lo].nonzero()
-        rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, n, n)
-        np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
+        if c.dim == 1:
+            ks = ic[ic <= n]
+            ks = ks[f[n - ks] != 0]
+            if len(ks):
+                f[n] = np.add.accumulate(c.vec[ks] * f[n - ks])[-1] + 0
+        else:
+            ia, (ib,) = ic[ic < hi], f[:lo].nonzero()
+            rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, n, n)
+            np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
         if divide:
             f[lo:hi] /= deg[lo]
     return ScalarSeries(c.dim, c.max_degree, f)

@@ -7,7 +7,8 @@ tensor algebra via numpy, and triangular solves.  The product-kernel oracles
 are the first constructions of the product table and of the pair gather,
 kept to pin the faster ones entry for entry, and the pair plan that read
 every target from the product table, kept to pin the one-variable index
-sums bit for bit; the composition oracles
+sums bit for bit; the pair-plan product and recurrence, kept to pin the
+one-variable bands and sums bit for bit; the composition oracles
 are the routes that made one product per Horner step, per Jacobian entry
 and per block row, kept to pin the batched ones bit for bit; the first
 Horner construction, with untruncated steps, is kept to pin the truncated
@@ -38,8 +39,8 @@ from shefferkit.engine import PolynomialOnDual, ShefferSequence, _random_point, 
 from shefferkit.norms import (GradedNorm, _auto_radial_max, _degree_scale, _directions,
                               coeff_norm)
 from shefferkit.series import (ScalarSeries, VectorSeries, _common, _multiply,
-                               _over_common_denominator, _product_table, _rescaled, _room_starts,
-                               graded_exponents, graded_size, monomial_basis,
+                               _over_common_denominator, _pairs, _product_table, _rescaled,
+                               _room_starts, graded_exponents, graded_size, monomial_basis,
                                multi_factorial, ps_derivative, ps_mul, vs_compose)
 from shefferkit.symtensor import DENSE_BUDGET, SymCoeff, column_norms, sym_norm, sym_product
 
@@ -428,6 +429,47 @@ def table_pairs(dim: int, order: int, ia: np.ndarray, ib: np.ndarray,
     rows = np.arange(len(ia)).repeat(counts)
     cols = np.arange(len(rows)) - (np.add.accumulate(counts) - end)[rows]
     return rows, cols, _product_table(dim, order)[ia[rows], ib[cols]]
+
+
+def pair_mul(dim: int, order: int, va: np.ndarray, vb: np.ndarray,
+             hi: int | None = None, padded: bool = False) -> np.ndarray:
+    """`series._mul_pair` by its pair plan at every d, as it was before one
+    variable summed its band: the same outer-operand rule, the products of
+    the planned pairs (`_pairs`) as two gathered 1-d arrays, and `np.add.at`
+    into zeros."""
+    (ia,), (ib,) = va.nonzero(), vb.nonzero()
+    hi = order if hi is None else hi
+    count = len(ia)
+    if padded:
+        cut = graded_size(dim, hi - 1)
+        count = int(ia.searchsorted(cut)) + len(va) - cut
+    if count > len(ib):
+        ia, ib, va, vb = ib, ia, vb, va
+    rows, cols, targets = _pairs(dim, order, ia, ib, 0, hi)
+    out = np.zeros(graded_size(dim, order), dtype=va.dtype)
+    va, vb = va[ia], vb[ib]
+    np.add.at(out, targets, va[rows] * vb[cols])
+    return out
+
+
+def pair_recurrence(c: ScalarSeries, divide: bool) -> ScalarSeries:
+    """`series._degree_recurrence` with every degree's products placed by a
+    pair plan, in one variable as in more: the pairs of degree n, in the
+    order of c's entries, accumulated by `np.add.at`."""
+    deg = graded_exponents(c.dim, c.max_degree).sum(axis=1)
+    if c.exact:
+        deg = np.array([Fraction(int(k)) for k in deg], dtype=object)
+    ic = np.flatnonzero(c.vec[1:]) + 1
+    f = np.zeros_like(c.vec)
+    f[0] = 1
+    for n in range(1, c.max_degree + 1):
+        lo, hi = graded_size(c.dim, n - 1), graded_size(c.dim, n)
+        ia, (ib,) = ic[ic < hi], f[:lo].nonzero()
+        rows, cols, targets = _pairs(c.dim, c.max_degree, ia, ib, n, n)
+        np.add.at(f, targets, c.vec[ia[rows]] * f[ib[cols]])
+        if divide:
+            f[lo:hi] /= deg[lo]
+    return ScalarSeries(c.dim, c.max_degree, f)
 
 
 # -- composition oracles -----------------------------------------------------------

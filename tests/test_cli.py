@@ -335,6 +335,32 @@ class TestCsvReports:
                  for c in doc["coefficients"] for t in c["terms"]]
         self.assert_cells(header, rows, terms)
 
+    def test_rows_made_only_for_csv(self, tmp_path, monkeypatch):
+        made = []
+        poly_rows = cli._poly_rows
+        monkeypatch.setattr(cli, "_poly_rows", lambda q: made.append(q) or poly_rows(q))
+        poly = monomial_file(tmp_path, "z3.json", 1, (3,))
+        args = ["apply", "--kind", "falling", "--dim", 1, "--max-degree", 4, "--input", poly]
+        assert run(args + ["--out", tmp_path / "r.json"]) == 0 and made == []
+        assert run(args + ["--format", "csv", "--out", tmp_path / "r.csv"]) == 0
+        assert len(made) == 1
+
+    def test_out_of_range_value_named(self, tmp_path, capsys):
+        # the compact check fails, and the message is the indented encoder's,
+        # which names the value, as a JSON report's is
+        a = VectorSeries.from_scalar_1d(ScalarSeries.from_coeffs_1d([0, 1.0, 2.5e307, 2.5e307]))
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps(a.to_json_dict()), encoding="utf-8")
+        args = ["diverge", "--kind", "custom", "--a", a_file, "--max-degree", 3,
+                "--alpha", 2, "--degrees", "1:3"]
+        errs = []
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"sweep.{fmt}"
+            assert run(args + ["--format", fmt, "--out", out]) == 2 and not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].count("\n") == 1
+        assert "Out of range float values are not JSON compliant: " in errs[0]
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):

@@ -13,6 +13,7 @@ from shefferkit.families import FamilySpec, make_family
 from shefferkit.series import (
     ScalarSeries,
     VectorSeries,
+    _band,
     _degree_recurrence,
     _mul_pair,
     _mul_rows,
@@ -33,6 +34,7 @@ from shefferkit.series import (
 )
 from shefferkit.symtensor import SymCoeff, sym_product
 
+import oracles
 from conftest import bits, series_diff, vector_diff
 from oracles import (
     dense_pair,
@@ -46,6 +48,8 @@ from oracles import (
     masked_pairs,
     mercator_log,
     naive_compose,
+    pair_mul,
+    pair_recurrence,
     plain_compose,
     plain_inverse,
     plain_product,
@@ -504,7 +508,9 @@ class TestMulRows:
 class TestProductTableRoute:
     # every kernel that plans through _pairs against the same kernel with its
     # targets read from the product table by a 2-d gather (table_pairs), bit
-    # for bit: d = 1 sums the graded indices, d >= 2 reads the table's flat view
+    # for bit: d = 1 sums the graded indices, d >= 2 reads the table's flat
+    # view.  One-row products and recurrences at d = 1 make no pair plan, so
+    # both sides run the band there (TestOneVariableBand pins it)
     @staticmethod
     def products(dim, order, exact):
         rng = np.random.default_rng([dim, order, exact])
@@ -538,6 +544,134 @@ class TestProductTableRoute:
         monkeypatch.setattr(series, "_pairs", table_pairs)
         want = self.products(dim, order, exact)
         assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def decades_vec(rng, size):
+    """Complex entries over twelve decades: sums of them in another order
+    round differently."""
+    return random_complex_vec(rng, size) * 10.0 ** rng.integers(-6, 7, size)
+
+
+def int_vec(rng, size):
+    return np.array([int(x) for x in rng.integers(-9, 10, size)], dtype=object)
+
+
+def one_variable_operands(rng, order, exact):
+    """(va, vb) pairs of one-variable vectors of degree <= order: dense,
+    interior zeros in both, leading zeros in the outer operand (the one with
+    fewer nonzero entries) and trailing zeros in the inner one, a single
+    outer entry (a band of one row) and single entries on both sides (one
+    row and one column)."""
+    draw = int_vec if exact else decades_vec
+    size = order + 1
+    dense = [draw(rng, size) for _ in range(6)]
+    holes = [np.where(rng.random(size) < keep, v, 0) for keep, v in zip((0.5, 0.6), dense[2:])]
+    lead, trail = dense[4].copy(), dense[5].copy()
+    lead[:order // 3] = 0
+    trail[size - order // 4:] = 0
+    single, other = np.zeros(size, dtype=lead.dtype), np.zeros(size, dtype=lead.dtype)
+    single[3], other[order // 2] = draw(rng, 2)
+    return [(dense[0], dense[1]), (holes[0], holes[1]), (lead, trail), (single, dense[0]),
+            (dense[1], single), (single, other)]
+
+
+class TestOneVariableBand:
+    # d = 1 products (one band each) and recurrences (one accumulate per
+    # degree) against the pair plans they replaced (oracles.pair_mul and
+    # oracles.pair_recurrence), bit for bit, and for integer rows in value
+    # and type; TestProductTableRoute and TestMulRows run the band on both
+    # sides at d = 1, so this is where it is pinned
+    ORDER = 40
+
+    @staticmethod
+    def check_products(pairs, order):
+        for va, vb in pairs:
+            for hi in (None, order - 1, order // 2, 4, 0):
+                for padded in (False, True):
+                    args = (1, order, va, vb, hi, padded)
+                    assert bits(_mul_pair(*args)) == bits(pair_mul(*args)), (hi, padded)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_products_match_pair_plan(self, exact):
+        rng = np.random.default_rng([1, self.ORDER, exact])
+        self.check_products(one_variable_operands(rng, self.ORDER, exact), self.ORDER)
+
+    def test_signed_zeros(self):
+        # (-1 + 0j) * (0 + 1j) has real part -0.0: as the only term of its
+        # entry, the band must give +0.0 as add.at into zeros does; -0.0
+        # parts in both operands, and entries that are -0.0 + -0.0j (zeros)
+        rng = np.random.default_rng(9)
+        order = 12
+        va, vb = np.zeros(order + 1, dtype=complex), decades_vec(rng, order + 1)
+        va[1] = complex(-1.0, 0.0)
+        vb[2] = complex(0.0, 1.0)
+        assert not np.signbit(pair_mul(1, order, va, vb)[3].real)
+        assert not np.signbit(_mul_pair(1, order, va, vb)[3].real)
+        signed = decades_vec(rng, order + 1)
+        signed[::3] = complex(-0.0, -0.0)
+        signed.imag[1::3] = -0.0
+        signed.real[2::5] = -0.0
+        pairs = [(va, vb), (vb, va), (signed, vb), (va, signed), (signed, signed[::-1].copy())]
+        self.check_products(pairs, order)
+
+    def test_infinite_entry_meets_zeros(self):
+        # an inner inf meets an interior zero of the outer operand inside its
+        # band: the band sum holds 0 * inf = NaN, so the pair plan forms it
+        order = 8
+        va = np.zeros(order + 1, dtype=complex)
+        va[[1, 3]] = [complex(0.5, -0.25), complex(-2.0, 1.0)]
+        vb = np.array([complex(k + 1, 0.5 * k) for k in range(order + 1)])
+        vb[1] = complex(np.inf, 0.5)
+        with np.errstate(invalid="ignore"):
+            assert np.isfinite(pair_mul(1, order, va, vb)[3])  # outer 1 * inner 2, 3 * 0
+            self.check_products([(va, vb), (vb, va)], order)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_recurrences_match_pair_plan(self, exact):
+        rng = np.random.default_rng([2, self.ORDER, exact])
+        order = self.ORDER
+        draw = random_fraction_vec if exact else decades_vec
+        dense = draw(rng, order + 1)
+        even = dense.copy()
+        even[1::2] = 0  # f stays even: half of the partners f_{n-k} are zero
+        holes = np.where(rng.random(order + 1) < 0.4, dense, 0)
+        vecs = [dense, even, holes]
+        if not exact:  # negative reals with -0.0 parts: f_1 = c_1 has imaginary part +0.0
+            signed = -np.abs(dense.real) + 0j
+            signed.imag[:] = -0.0
+            vecs += [signed, np.where(rng.random(order + 1) < 0.5, signed, 0)]
+        for vec in vecs:
+            c = ScalarSeries(1, order, vec)
+            for divide in (False, True):
+                assert bits(_degree_recurrence(c, divide).vec) == \
+                    bits(pair_recurrence(c, divide).vec), divide
+
+
+class TestNumpyBehaviour:
+    # what the one-variable band takes from numpy, on this numpy build
+    @pytest.mark.parametrize("rows, cols", [(9, 2), (40, 3), (200, 17)])
+    def test_axis0_sum_adds_rows_left_to_right(self, rows, cols):
+        rng = np.random.default_rng([rows, cols])
+        x = decades_vec(rng, rows * cols).reshape(rows, cols)
+        want = x[0].copy()
+        for r in range(1, rows):
+            want = want + x[r]
+        into = np.zeros(cols + 5, dtype=complex)  # as _mul_pair reduces: into a slice
+        np.add.reduce(x, axis=0, out=into[2:2 + cols])
+        assert bits(into[2:2 + cols]) == bits(x.sum(axis=0)) == bits(want)
+        # the data tell the orders apart: numpy's pairwise 1-d sum of a column differs
+        pairwise = np.array([np.ascontiguousarray(x[:, c]).sum() for c in range(cols)])
+        assert bits(pairwise) != bits(want)
+
+    @pytest.mark.parametrize("m, w", [(1, 1), (1, 9), (2, 2), (7, 7), (33, 40)])
+    def test_broadcast_product_over_reversed_rows(self, m, w):
+        # span[:, None] * band, band a view with strides (-16, 16), against
+        # the 1-d product of the same cells gathered, one element included
+        rng = np.random.default_rng([m, w])
+        span, pad = decades_vec(rng, m), decades_vec(rng, m - 1 + w)
+        band = np.ndarray((m, w), complex, pad, (m - 1) * 16, (-16, 16))
+        r, c = np.indices((m, w)).reshape(2, -1)
+        assert bits((span[:, None] * band).reshape(-1)) == bits(span[r] * pad[m - 1 - r + c])
 
 
 class TestOverCommonDenominator:
@@ -793,18 +927,44 @@ class TestTruncatedHorner:
         ("compose", 1, 64, 65_000), ("inverse", 1, 64, 56_000), ("compose", 3, 8, 27_000)])
     def test_pair_products_formed(self, monkeypatch, what, dim, order, cap):
         # on the benchmark's dense (A, rho) the untruncated steps formed
-        # 131,104, 112,611 and 54,855 pairs; the banded ones half of that at most
+        # 131,104, 112,611 and 54,855 pairs; the banded ones half of that at
+        # most.  At d = 1 no pair plan is made: the products of nonzero
+        # entries are the nonzero x nonzero cells of the bands, exactly as
+        # many as the pair-plan route (oracles.pair_mul) forms on the same
+        # data, 45,760 for the composition and 47,325 for the inverse (47,357
+        # under numpy's baseline dispatch, whose rounding leaves other
+        # entries exactly zero), and no band reaches past its hi
         a, rho = dense_pair(dim, order, np.random.default_rng([dim, order]))
-        formed = []
+        run = (lambda: ps_compose(rho, a)) if what == "compose" else (lambda: vs_inverse(a))
+        plans, bands, oracle_plans = [], [], []
 
-        def counted(*args):
-            out = _pairs(*args)
-            formed.append(len(out[2]))
-            return out
+        def counted(formed, pairs):
+            def call(*args):
+                out = pairs(*args)
+                formed.append(len(out[2]))
+                return out
+            return call
 
-        monkeypatch.setattr(series, "_pairs", counted)
-        ps_compose(rho, a) if what == "compose" else vs_inverse(a)
-        assert 0 < sum(formed) <= cap
+        def counted_band(outer, inner, io, jn, hi):
+            start, span, band = _band(outer, inner, io, jn, hi)
+            cells = np.count_nonzero((span != 0)[:, None] & (band != 0))
+            bands.append((cells, start + band.shape[1] - 1 <= hi))
+            return start, span, band
+
+        monkeypatch.setattr(series, "_pairs", counted(plans, _pairs))
+        monkeypatch.setattr(series, "_band", counted_band)
+        run()
+        formed = sum(plans) + sum(cells for cells, _ in bands)
+        assert 0 < formed <= cap
+        assert (bands and not plans) if dim == 1 else (plans and not bands)
+        assert all(within for _, within in bands)
+        if dim == 1:
+            monkeypatch.setattr(oracles, "_pairs", counted(oracle_plans, _pairs))
+            monkeypatch.setattr(series, "_mul_pair", pair_mul)
+            run()
+            assert formed == sum(oracle_plans)
+            if what == "compose":
+                assert formed == 45_760
 
     @pytest.mark.parametrize("dim, order", [(1, 48), (2, 9), (3, 6), (4, 5)])
     def test_float_over_dense_inner_matches_untruncated(self, dim, order):
@@ -1033,6 +1193,21 @@ class TestSerialization:
     def test_tiny_coefficients_survive(self):
         s = ScalarSeries.from_terms(1, 2, {(1,): 1e-200})
         assert s.coefficient((1,)) == 1e-200
+
+    def test_document_exponents_checked_once(self, monkeypatch):
+        # json_terms checks each term's exponent, and placing the terms does
+        # not check it again
+        checked = []
+        exponent_key = series._exponent_key
+        monkeypatch.setattr(series, "_exponent_key",
+                            lambda key, dim: checked.append(key) or exponent_key(key, dim))
+        s = ScalarSeries.from_terms(2, 4, {(0, 0): 1.0, (1, 2): 0.5j, (4, 0): -2.0})
+        assert len(checked) == 3
+        doc = json.loads(json.dumps(s.to_json_dict()))
+        assert ScalarSeries.from_json_dict(doc) == s and len(checked) == 6
+        t = SymCoeff.from_coeffs(2, 3, {(1, 2): 0.25, (3, 0): 1j})
+        assert SymCoeff.from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
+        assert len(checked) == 10
 
 
 class TestBasis:
